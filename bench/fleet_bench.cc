@@ -164,7 +164,7 @@ main()
     }
     std::printf("%s\n", table.render().c_str());
 
-    const Metrics &m = fleet.metrics();
+    const Metrics m = fleet.collectMetrics();
     std::printf("tenants %d  workers %zu  rows %llu (%s)  "
                 "virtual time %.1f ms  ticks %llu\n",
                 kTenants, fleet.workerCount(),
@@ -173,10 +173,10 @@ main()
                 1e3 * now, static_cast<unsigned long long>(ticks));
     std::printf("launched %.0f  replacements %.0f  preemptions %.0f  "
                 "lease expirations %.0f\n",
-                m.counter("fleet.workers_launched"),
-                m.counter("fleet.worker_replacements"),
+                m.counter("pool.workers_launched"),
+                m.counter("pool.worker_replacements"),
                 m.counter("fleet.preemptions"),
-                m.counter("fleet.lease_expirations"));
+                m.counter("pool.leases_expired"));
     std::printf("\npaper: fleet-scoped DPP provisioning shares one "
                 "auto-scaled worker pool across jobs, prioritizing "
                 "RC over combo and exploratory runs (Section IV-B).\n");

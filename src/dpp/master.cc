@@ -1,23 +1,9 @@
 #include "master.h"
 
-#include <chrono>
-
 #include "common/logging.h"
 #include "dwrf/reader.h"
 
 namespace dsi::dpp {
-
-namespace {
-
-double
-steadySeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 dwrf::Buffer
 MasterCheckpoint::serialize() const
@@ -114,7 +100,7 @@ MasterCheckpoint::deserialize(dwrf::ByteSpan data)
 }
 
 Master::Master(const warehouse::Warehouse &warehouse, SessionSpec spec)
-    : spec_(std::move(spec)), clock_(steadySeconds)
+    : spec_(std::move(spec))
 {
     enumerateSplits(warehouse);
     for (uint64_t i = 0; i < splits_.size(); ++i)
@@ -170,16 +156,8 @@ Master::registerWorker()
     std::scoped_lock lock(mutex_);
     WorkerId id = next_worker_++;
     live_workers_.insert(id);
-    last_heartbeat_[id] = clock_();
     metrics_.inc("master.workers_registered");
     return id;
-}
-
-void
-Master::touchLocked(WorkerId worker)
-{
-    if (live_workers_.count(worker))
-        last_heartbeat_[worker] = clock_();
 }
 
 SplitGrant
@@ -197,7 +175,6 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
         grant.status = GrantStatus::Rejected;
         return grant;
     }
-    touchLocked(worker);
     if (pending_.empty()) {
         // Checked before admission so a saturated worker still
         // observes end-of-work and can finish its drain.
@@ -226,7 +203,7 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     inflight_.emplace(split_id, worker);
     if (admission_.split_deadline_s > 0.0) {
         deadline_at_[split_id] =
-            clock_() + admission_.split_deadline_s;
+            trace::nowSeconds() + admission_.split_deadline_s;
         grant.deadline = Deadline::after(admission_.split_deadline_s);
     }
     metrics_.inc("master.splits_assigned");
@@ -269,19 +246,50 @@ Master::endGrantSpanLocked(uint64_t split_id)
     grant_spans_.erase(it);
 }
 
-void
-Master::releaseSplit(WorkerId worker, uint64_t split_id)
+bool
+Master::takeGrantLocked(WorkerId worker, uint64_t split_id,
+                        const char *stale_metric)
 {
-    std::scoped_lock lock(mutex_);
-    touchLocked(worker);
     auto it = inflight_.find(split_id);
     if (it == inflight_.end() || it->second != worker) {
-        metrics_.inc("master.stale_releases");
-        return;
+        // Stale: the split was requeued (its holder was failed or blew
+        // its deadline) or finished by its new owner. The delivery
+        // ledger deduplicates any rows the zombie already delivered.
+        metrics_.inc(stale_metric);
+        return false;
     }
     inflight_.erase(it);
     deadline_at_.erase(split_id);
     endGrantSpanLocked(split_id);
+    return true;
+}
+
+void
+Master::chargeAttemptLocked(uint64_t split_id)
+{
+    // Bounded attempts: a split that keeps failing (or blowing its
+    // budget) still reaches a terminal state instead of cycling.
+    uint32_t failures = ++attempts_[split_id];
+    if (failures < max_split_attempts_) {
+        pending_.push_front(split_id);
+        metrics_.inc("master.splits_requeued");
+        return;
+    }
+    failed_.insert(split_id);
+    clearWatermarkLocked(split_id);
+    if (policy_.on_terminal)
+        writeCheckpointLocked();
+    metrics_.inc("master.splits_failed");
+    dsi_warn("split %llu failed after %u attempts; giving up",
+             static_cast<unsigned long long>(split_id), failures);
+}
+
+void
+Master::releaseSplit(WorkerId worker, uint64_t split_id)
+{
+    std::scoped_lock lock(mutex_);
+    if (!takeGrantLocked(worker, split_id, "master.stale_releases"))
+        return;
     // No attempt penalty: the data is fine, the worker's timing
     // (or drain) is not.
     pending_.push_front(split_id);
@@ -294,7 +302,7 @@ Master::expireDeadlines()
     std::scoped_lock lock(mutex_);
     if (admission_.split_deadline_s <= 0.0)
         return 0;
-    double now = clock_();
+    double now = trace::nowSeconds();
     uint64_t expired = 0;
     for (auto it = deadline_at_.begin(); it != deadline_at_.end();) {
         uint64_t split_id = it->first;
@@ -303,9 +311,6 @@ Master::expireDeadlines()
             ++it;
             continue;
         }
-        // Bound re-grants of a split that keeps blowing its budget:
-        // charge an attempt so a pathological split still reaches a
-        // terminal state instead of cycling forever.
         it = deadline_at_.erase(it);
         inflight_.erase(holder);
         ++expired;
@@ -318,20 +323,7 @@ Master::expireDeadlines()
                            split_id);
         }
         endGrantSpanLocked(split_id);
-        uint32_t failures = ++attempts_[split_id];
-        if (failures >= max_split_attempts_) {
-            failed_.insert(split_id);
-            clearWatermarkLocked(split_id);
-            if (policy_.on_terminal)
-                writeCheckpointLocked();
-            metrics_.inc("master.splits_failed");
-            dsi_warn("split %llu blew %u deadlines; giving up",
-                     static_cast<unsigned long long>(split_id),
-                     failures);
-        } else {
-            pending_.push_front(split_id);
-            metrics_.inc("master.splits_requeued");
-        }
+        chargeAttemptLocked(split_id);
     }
     return expired;
 }
@@ -347,18 +339,8 @@ void
 Master::completeSplit(WorkerId worker, uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    touchLocked(worker);
-    auto it = inflight_.find(split_id);
-    if (it == inflight_.end() || it->second != worker) {
-        // Stale: the split was requeued (lease expiry) or finished by
-        // its new owner. The ledger on the client side deduplicates
-        // any rows the zombie already delivered.
-        metrics_.inc("master.stale_completions");
+    if (!takeGrantLocked(worker, split_id, "master.stale_completions"))
         return;
-    }
-    inflight_.erase(it);
-    deadline_at_.erase(split_id);
-    endGrantSpanLocked(split_id);
     completed_.insert(split_id);
     clearWatermarkLocked(split_id);
     metrics_.inc("master.splits_completed");
@@ -370,42 +352,15 @@ void
 Master::failSplit(WorkerId worker, uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    touchLocked(worker);
-    auto it = inflight_.find(split_id);
-    if (it == inflight_.end() || it->second != worker) {
-        metrics_.inc("master.stale_failures");
-        return;
-    }
-    inflight_.erase(it);
-    deadline_at_.erase(split_id);
-    endGrantSpanLocked(split_id);
-    uint32_t failures = ++attempts_[split_id];
-    if (failures >= max_split_attempts_) {
-        failed_.insert(split_id);
-        clearWatermarkLocked(split_id);
-        if (policy_.on_terminal)
-            writeCheckpointLocked();
-        metrics_.inc("master.splits_failed");
-        dsi_warn("split %llu failed after %u attempts; giving up",
-                 static_cast<unsigned long long>(split_id), failures);
-    } else {
-        pending_.push_front(split_id);
-        metrics_.inc("master.splits_requeued");
-    }
+    if (takeGrantLocked(worker, split_id, "master.stale_failures"))
+        chargeAttemptLocked(split_id);
 }
 
 void
 Master::failWorker(WorkerId worker)
 {
     std::scoped_lock lock(mutex_);
-    failWorkerLocked(worker);
-}
-
-void
-Master::failWorkerLocked(WorkerId worker)
-{
     live_workers_.erase(worker);
-    last_heartbeat_.erase(worker);
     // Stateless Workers: just requeue whatever they were processing.
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second == worker) {
@@ -419,55 +374,6 @@ Master::failWorkerLocked(WorkerId worker)
         }
     }
     metrics_.inc("master.workers_failed");
-}
-
-void
-Master::setLeaseTimeout(double seconds)
-{
-    std::scoped_lock lock(mutex_);
-    lease_timeout_ = seconds;
-}
-
-void
-Master::setClock(std::function<double()> clock)
-{
-    std::scoped_lock lock(mutex_);
-    clock_ = std::move(clock);
-}
-
-void
-Master::heartbeat(WorkerId worker)
-{
-    std::scoped_lock lock(mutex_);
-    touchLocked(worker);
-}
-
-std::vector<WorkerId>
-Master::expireLeases()
-{
-    std::scoped_lock lock(mutex_);
-    std::vector<WorkerId> expired;
-    if (lease_timeout_ <= 0.0)
-        return expired;
-    double now = clock_();
-    // Only workers holding in-flight splits can lose a lease: an idle
-    // worker has nothing to recover, and draining workers legitimately
-    // go quiet once the split queue empties.
-    std::set<WorkerId> holding;
-    for (const auto &[split_id, w] : inflight_)
-        holding.insert(w);
-    for (WorkerId w : holding) {
-        auto hb = last_heartbeat_.find(w);
-        double last = hb == last_heartbeat_.end() ? 0.0 : hb->second;
-        if (now - last > lease_timeout_)
-            expired.push_back(w);
-    }
-    for (WorkerId w : expired) {
-        dsi_warn("worker %u lease expired; requeueing its splits", w);
-        failWorkerLocked(w);
-        metrics_.inc("master.leases_expired");
-    }
-    return expired;
 }
 
 void
@@ -526,7 +432,7 @@ Master::enableJournal(storage::TectonicCluster &cluster,
         cluster, std::move(base),
         JournalOptions{policy.keep_records});
     policy_ = policy;
-    last_checkpoint_at_ = clock_();
+    last_checkpoint_at_ = trace::nowSeconds();
     deliveries_since_checkpoint_ = 0;
 }
 
@@ -567,7 +473,7 @@ Master::writeCheckpointLocked()
                    ledger_bytes.end());
 
     auto result = journal_->append(payload);
-    last_checkpoint_at_ = clock_();
+    last_checkpoint_at_ = trace::nowSeconds();
     deliveries_since_checkpoint_ = 0;
     metrics_.inc("master.checkpoint.written");
     metrics_.inc("master.checkpoint.bytes",
@@ -593,7 +499,7 @@ Master::maybeCheckpoint()
     std::scoped_lock lock(mutex_);
     if (!journal_ || policy_.interval_s <= 0.0)
         return;
-    if (clock_() - last_checkpoint_at_ >= policy_.interval_s)
+    if (trace::nowSeconds() - last_checkpoint_at_ >= policy_.interval_s)
         writeCheckpointLocked();
 }
 

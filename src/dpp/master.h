@@ -25,7 +25,6 @@
 #define DSI_DPP_MASTER_H
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -277,33 +276,11 @@ class Master : public WorkSource
     }
 
     /**
-     * The health monitor declares a Worker dead: its in-flight splits
-     * return to the pending queue for other Workers.
+     * The health monitor (the worker pool's lease, or a manual
+     * injection) declares a Worker dead: its in-flight splits return
+     * to the pending queue for other Workers.
      */
-    void failWorker(WorkerId worker);
-
-    // --- lease-based failure detection ---
-
-    /**
-     * Enable heartbeat leases: a worker holding in-flight splits that
-     * has not heartbeated within `seconds` is declared dead by the
-     * next expireLeases() call. 0 disables (manual failWorker only).
-     */
-    void setLeaseTimeout(double seconds);
-
-    /** Override the clock (tests inject a fake time source). */
-    void setClock(std::function<double()> clock);
-
-    /** Liveness signal from a worker's data-plane activity. */
-    void heartbeat(WorkerId worker) override;
-
-    /**
-     * Expire leases of silent workers that hold in-flight splits,
-     * requeueing their work. Returns the expired workers so the
-     * session can replace them. Idle workers (nothing in flight) are
-     * never expired — there is no work to recover from them.
-     */
-    std::vector<WorkerId> expireLeases();
+    void failWorker(WorkerId worker) override;
 
     /** Total attempts a split gets before it is marked failed. */
     void setMaxSplitAttempts(uint32_t attempts);
@@ -394,10 +371,16 @@ class Master : public WorkSource
 
   private:
     void enumerateSplits(const warehouse::Warehouse &warehouse);
-    void failWorkerLocked(WorkerId worker);
-    void touchLocked(WorkerId worker);
     /** Close the split's master.grant span, if one is open. */
     void endGrantSpanLocked(uint64_t split_id);
+    /**
+     * End `worker`'s grant of `split_id`; false (counting
+     * `stale_metric`) when the worker no longer holds it.
+     */
+    bool takeGrantLocked(WorkerId worker, uint64_t split_id,
+                         const char *stale_metric);
+    /** Charge a failed attempt: requeue, or fail the split for good. */
+    void chargeAttemptLocked(uint64_t split_id);
     MasterCheckpoint checkpointLocked() const;
     /** Append one journal record (master + ledger snapshot). */
     void writeCheckpointLocked();
@@ -412,15 +395,12 @@ class Master : public WorkSource
     std::set<uint64_t> completed_;
     std::set<uint64_t> failed_;                 ///< attempts exhausted
     std::map<uint64_t, uint32_t> attempts_;     ///< split -> failures
-    std::map<uint64_t, double> deadline_at_;    ///< split -> clock_()
+    std::map<uint64_t, double> deadline_at_;    ///< split -> nowSeconds()
     std::map<uint64_t, trace::SpanId> grant_spans_; ///< open grants
     AdmissionOptions admission_;
     uint32_t max_split_attempts_ = 3;
     WorkerId next_worker_ = 0;
     std::set<WorkerId> live_workers_;
-    std::map<WorkerId, double> last_heartbeat_;
-    double lease_timeout_ = 0.0; ///< 0 = leases disabled
-    std::function<double()> clock_;
 
     // Durable checkpointing (all guarded by mutex_; the journal is
     // not thread-safe and is serialized here). Lock order:

@@ -1,24 +1,10 @@
 #include "session.h"
 
-#include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "common/logging.h"
 
 namespace dsi::dpp {
-
-namespace {
-
-double
-steadySeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 InProcessSession::InProcessSession(const warehouse::Warehouse &warehouse,
                                    SessionSpec spec,
@@ -30,8 +16,6 @@ InProcessSession::InProcessSession(const warehouse::Warehouse &warehouse,
     master_ = std::make_unique<Master>(warehouse_, std::move(spec));
     master_->setMaxSplitAttempts(options_.max_split_attempts);
     master_->setAdmission(options_.admission);
-    if (options_.lease_timeout > 0)
-        master_->setLeaseTimeout(options_.lease_timeout);
     if (options_.recovery.cluster != nullptr) {
         // The ledger snapshot rides in every journal record, so
         // exactly-once delivery survives whole-control-plane death.
@@ -42,162 +26,27 @@ InProcessSession::InProcessSession(const warehouse::Warehouse &warehouse,
         if (options_.recovery.recover)
             master_->recoverFromJournal();
     }
-    if (options_.autoscale.enabled) {
-        scaler_ =
-            std::make_unique<AutoScaler>(options_.autoscale.scaler);
-        last_eval_ = steadySeconds();
-    }
-    for (uint32_t w = 0; w < options_.workers; ++w) {
-        workers_.push_back(std::make_unique<Worker>(
-            *master_, warehouse_, options_.worker));
-    }
-    rebuildClients();
+    pool_ = std::make_unique<WorkerPool>(
+        *master_, warehouse_, options_.worker, options_.workers,
+        options_.lease_timeout, options_.autoscale);
+    syncClients();
 }
 
 void
-InProcessSession::rebuildClients()
+InProcessSession::syncClients()
 {
+    if (!clients_.empty() && clients_generation_ == pool_->generation())
+        return;
+    clients_generation_ = pool_->generation();
     clients_.clear();
-    std::vector<Worker *> pool;
-    pool.reserve(workers_.size());
-    for (auto &w : workers_)
-        pool.push_back(w.get());
+    std::vector<Worker *> workers;
+    workers.reserve(pool_->size());
+    for (const auto &w : pool_->workers())
+        workers.push_back(w.get());
     for (uint32_t c = 0; c < options_.clients; ++c) {
         clients_.push_back(std::make_unique<Client>(
-            c, options_.clients, pool, options_.client, &ledger_));
+            c, options_.clients, workers, options_.client, &ledger_));
     }
-}
-
-void
-InProcessSession::replaceWorker(size_t i)
-{
-    dsi_assert(i < workers_.size(), "no worker at index %zu", i);
-    // Stop the victim's pipeline threads first so none of them calls
-    // into the Master after the health monitor declares it dead.
-    // (Idempotent — a crashed worker's threads already quiesced.)
-    workers_[i]->stop();
-    ++failures_;
-    // Stateless restart: a fresh worker replaces it (no checkpoint).
-    workers_[i] = std::make_unique<Worker>(*master_, warehouse_,
-                                           options_.worker);
-    if (running_parallel_)
-        workers_[i]->start();
-    rebuildClients();
-}
-
-void
-InProcessSession::injectWorkerFailure(size_t i)
-{
-    dsi_assert(i < workers_.size(), "no worker at index %zu", i);
-    workers_[i]->stop();
-    // Health monitor notices; in-flight splits requeue. The dead
-    // worker's buffered (unserved) tensors are lost with it.
-    master_->failWorker(workers_[i]->id());
-    replaceWorker(i);
-}
-
-bool
-InProcessSession::checkLeases()
-{
-    if (options_.lease_timeout <= 0)
-        return false;
-    auto expired = master_->expireLeases();
-    if (expired.empty())
-        return false;
-    // expireLeases already requeued the dead workers' splits; here we
-    // just swap in replacements (matching pool slot by WorkerId).
-    bool replaced = false;
-    for (WorkerId dead : expired) {
-        for (size_t i = 0; i < workers_.size(); ++i) {
-            if (workers_[i]->id() == dead) {
-                replaceWorker(i);
-                replaced = true;
-                break;
-            }
-        }
-    }
-    return replaced;
-}
-
-void
-InProcessSession::maybeAutoscale(const SessionResult &result)
-{
-    if (!scaler_)
-        return;
-    double now = steadySeconds();
-    double dt = now - last_eval_;
-    if (dt < options_.autoscale.interval_s)
-        return;
-    last_eval_ = now;
-
-    ScalingEvent ev;
-    double supplied = 0.0;
-    for (auto &w : workers_) {
-        supplied += w->metrics().counter("worker.tensors");
-        // Draining victims are leaving the pool; they are not part of
-        // the capacity the controller reasons about.
-        if (!w->draining() && !w->crashed())
-            ev.reports.push_back(w->report());
-    }
-    ev.demand_rate =
-        (static_cast<double>(result.tensors_delivered) -
-         static_cast<double>(last_delivered_)) /
-        dt;
-    // Worker replacement resets counters; clamp the window delta.
-    ev.supply_rate = std::max(0.0, (supplied - last_supplied_) / dt);
-    last_delivered_ = result.tensors_delivered;
-    last_supplied_ = supplied;
-    ev.decision =
-        scaler_->evaluate(ev.reports, ev.demand_rate, ev.supply_rate);
-
-    if (ev.decision.delta > 0) {
-        // Launch: stateless workers join the split pool immediately.
-        for (int64_t i = 0; i < ev.decision.delta; ++i) {
-            workers_.push_back(std::make_unique<Worker>(
-                *master_, warehouse_, options_.worker));
-            if (running_parallel_)
-                workers_.back()->start();
-            ++workers_launched_;
-        }
-        rebuildClients();
-    } else if (ev.decision.delta < 0) {
-        // Graceful drain: victims stop acquiring splits, finish and
-        // deliver everything held, and are retired by
-        // retireDrainedWorkers() once empty. Nothing is abandoned.
-        int64_t to_drain = -ev.decision.delta;
-        for (auto it = workers_.rbegin();
-             it != workers_.rend() && to_drain > 0; ++it) {
-            if ((*it)->draining() || (*it)->crashed())
-                continue;
-            (*it)->beginDrain();
-            --to_drain;
-        }
-    }
-    scaling_log_.push_back(std::move(ev));
-}
-
-bool
-InProcessSession::retireDrainedWorkers()
-{
-    if (!scaler_)
-        return false;
-    bool removed = false;
-    for (size_t i = 0; i < workers_.size();) {
-        if (workers_[i]->draining() && workers_[i]->drained() &&
-            workers_.size() > 1) {
-            foldWorkerStats(*workers_[i]);
-            workers_[i]->stop();
-            workers_.erase(workers_.begin() +
-                           static_cast<ptrdiff_t>(i));
-            ++workers_drained_;
-            removed = true;
-        } else {
-            ++i;
-        }
-    }
-    if (removed)
-        rebuildClients();
-    return removed;
 }
 
 uint64_t
@@ -244,17 +93,68 @@ InProcessSession::run(TensorSink sink, uint64_t fail_after_splits)
     if (options_.self_heal.cluster)
         options_.self_heal.cluster->startHealer(
             options_.self_heal.heal);
-    SessionResult result =
-        (options_.worker.num_extract_threads > 0 ||
-         options_.worker.num_transform_threads > 0)
-            ? runParallel(std::move(sink), fail_after_splits)
-            : runSynchronous(std::move(sink), fail_after_splits);
+
+    SessionResult result;
+    bool failure_pending = fail_after_splits > 0;
+    pool_->start();
+    // The calling thread is the control plane and the trainer side:
+    // each round mirrors FleetScheduler::tick.
+    while (!halt_requested_) {
+        // Data plane: every synchronous worker makes one unit of
+        // progress (threaded workers run on their own).
+        bool progressed = pool_->pump();
+
+        // Fault injection, once, after enough splits completed.
+        if (failure_pending &&
+            master_->progress().completed_splits >= fail_after_splits) {
+            injectWorkerFailure(0);
+            failure_pending = false;
+            progressed = true;
+        }
+
+        // Control plane: requeue splits that blew their deadline,
+        // replace dead workers, retire drained ones, and evaluate the
+        // scaling policy.
+        uint64_t expired = master_->expireDeadlines();
+        result.deadline_expirations += expired;
+        progressed = expired > 0 || progressed;
+        progressed = pool_->maintain(result.tensors_delivered) ||
+                     progressed;
+
+        // Trainers: each client drains what is available.
+        syncClients();
+        progressed = drainClients(result, sink) > 0 || progressed;
+
+        if (!progressed) {
+            if (pool_->drained())
+                break;
+            if (pool_->parallel())
+                std::this_thread::yield();
+        }
+    }
+    // On halt this aborts the pipelines (their buffered tensors die
+    // with them, like a real fleet losing its processes); otherwise
+    // they already quiesced and stop() just joins their threads.
+    pool_->stop();
+
     if (options_.self_heal.cluster)
         options_.self_heal.cluster->stopHealer();
     if (tracing) {
         trace::TraceLog::instance().disable();
         trace_events_ = trace::TraceLog::instance().snapshot();
     }
+
+    dsi_assert(halt_requested_ || master_->progress().done(),
+               "session ended with incomplete splits");
+    result.worker_failures = pool_->failures();
+    // Client metrics don't survive syncClients(); the ledger is the
+    // authoritative session-wide suppression count.
+    result.duplicates_suppressed = ledger_.duplicates();
+    result.splits_failed = master_->progress().failed_splits;
+    result.workers_launched = pool_->launched();
+    result.workers_drained = pool_->retired();
+    result.read_stats = pool_->readStats();
+    result.transform_stats = pool_->transformStats();
     return result;
 }
 
@@ -263,141 +163,12 @@ InProcessSession::collectMetrics() const
 {
     Metrics merged;
     merged.merge(master_->metrics());
-    for (const auto &w : workers_)
-        merged.merge(w->metrics());
+    merged.merge(pool_->collectMetrics());
     for (const auto &c : clients_)
         merged.merge(c->metrics());
     if (options_.self_heal.cluster)
         merged.merge(options_.self_heal.cluster->metrics());
     return merged;
-}
-
-SessionResult
-InProcessSession::runSynchronous(TensorSink sink,
-                                 uint64_t fail_after_splits)
-{
-    SessionResult result;
-    bool failure_pending = fail_after_splits > 0;
-
-    for (;;) {
-        if (halt_requested_)
-            break; // control plane died; leave the wreckage as-is
-        // Data plane: every worker makes one unit of progress.
-        bool any_work = false;
-        for (auto &w : workers_)
-            any_work = w->pump() || any_work;
-
-        // Fault injection, once, after enough splits completed.
-        if (failure_pending &&
-            master_->progress().completed_splits >=
-                fail_after_splits) {
-            injectWorkerFailure(0);
-            failure_pending = false;
-            any_work = true;
-        }
-
-        // Control plane: replace workers whose lease expired (e.g. a
-        // crashed worker that stopped pumping and heartbeating),
-        // requeue splits that blew their deadline, and evaluate the
-        // scaling policy.
-        any_work = checkLeases() || any_work;
-        uint64_t expired = master_->expireDeadlines();
-        result.deadline_expirations += expired;
-        any_work = any_work || expired > 0;
-        maybeAutoscale(result);
-        any_work = retireDrainedWorkers() || any_work;
-
-        // Trainers: each client drains what is available.
-        bool any_tensor = drainClients(result, sink) > 0;
-
-        if (!any_work && !any_tensor) {
-            bool all_drained = true;
-            for (auto &w : workers_)
-                all_drained = all_drained && w->drained();
-            if (all_drained)
-                break;
-        }
-    }
-
-    return finishResult(result);
-}
-
-SessionResult
-InProcessSession::runParallel(TensorSink sink,
-                              uint64_t fail_after_splits)
-{
-    SessionResult result;
-    bool failure_pending = fail_after_splits > 0;
-
-    running_parallel_ = true;
-    for (auto &w : workers_)
-        w->start();
-
-    // The calling thread plays the trainer side: drain clients until
-    // every worker's pipeline has quiesced and its buffer is empty.
-    for (;;) {
-        if (halt_requested_) {
-            // Control-plane death mid-run: abort the worker pipelines
-            // (their buffered tensors die with them, like a real
-            // fleet losing its processes) and bail without finishing.
-            for (auto &w : workers_)
-                w->stop();
-            break;
-        }
-        if (failure_pending &&
-            master_->progress().completed_splits >=
-                fail_after_splits) {
-            injectWorkerFailure(0);
-            failure_pending = false;
-        }
-
-        checkLeases();
-        result.deadline_expirations += master_->expireDeadlines();
-        maybeAutoscale(result);
-        retireDrainedWorkers();
-
-        bool any_tensor = drainClients(result, sink) > 0;
-        if (!any_tensor) {
-            bool all_drained = true;
-            for (auto &w : workers_)
-                all_drained = all_drained && w->drained();
-            if (all_drained)
-                break;
-            std::this_thread::yield();
-        }
-    }
-    running_parallel_ = false;
-    // Pipelines have quiesced naturally; stop() just joins threads.
-    for (auto &w : workers_)
-        w->stop();
-
-    return finishResult(result);
-}
-
-void
-InProcessSession::foldWorkerStats(const Worker &w)
-{
-    retired_read_stats_.merge(w.readStats());
-    retired_transform_stats_.merge(w.transformStats());
-}
-
-SessionResult
-InProcessSession::finishResult(SessionResult result)
-{
-    dsi_assert(halt_requested_ || master_->progress().done(),
-               "session ended with incomplete splits");
-    result.worker_failures = failures_;
-    // Client metrics don't survive rebuildClients(); the ledger is
-    // the authoritative session-wide suppression count.
-    result.duplicates_suppressed = ledger_.duplicates();
-    result.splits_failed = master_->progress().failed_splits;
-    result.workers_launched = workers_launched_;
-    result.workers_drained = workers_drained_;
-    for (auto &w : workers_)
-        foldWorkerStats(*w);
-    result.read_stats = retired_read_stats_;
-    result.transform_stats = retired_transform_stats_;
-    return result;
 }
 
 } // namespace dsi::dpp

@@ -2,24 +2,26 @@
  * @file
  * In-process DPP session orchestrator.
  *
- * Wires a Master, a Worker pool, and per-trainer Clients into one
+ * Wires a Master, a WorkerPool, and per-trainer Clients into one
  * runnable pipeline over the warehouse — the functional counterpart
  * of a production DPP deployment, used by examples, tests, and the
- * functional benches. Supports mid-run Worker failure injection (the
- * Master's health monitor requeues in-flight splits and the session
- * launches a stateless replacement, as in Section III-B1).
+ * functional benches. The pool is the health monitor (Section
+ * III-B1): a worker that crashes or whose heartbeat lease expires is
+ * failed at the Master (its in-flight splits requeue) and replaced by
+ * a stateless worker; injectWorkerFailure() does the same on demand.
  *
- * Execution follows the Workers' mode (WorkerOptions in
- * SessionOptions::worker):
+ * run() is one loop, the same shape as sched::FleetScheduler::tick:
+ * pump the pool (synchronous workers only), fail a worker if asked,
+ * reap blown split deadlines, run the pool's maintenance pass, and
+ * drain the clients. Execution follows the Workers' mode
+ * (WorkerOptions in SessionOptions::worker):
  *
- *  - Synchronous (default): run() cooperatively interleaves
- *    single-threaded Worker::pump() calls with client drains —
+ *  - Synchronous (default): each round pumps every worker once —
  *    deterministic, no threads.
  *  - Parallel (`num_extract_threads`/`num_transform_threads` > 0):
- *    run() start()s every Worker's pipeline threads and the calling
+ *    run() starts every Worker's pipeline threads and the calling
  *    thread becomes the trainer side, draining Clients until all
- *    Workers quiesce. Worker failure injection stops the victim's
- *    threads before the Master requeues its splits.
+ *    Workers quiesce.
  */
 
 #ifndef DSI_DPP_SESSION_H
@@ -31,30 +33,12 @@
 #include <string>
 #include <vector>
 
-#include "dpp/autoscaler.h"
 #include "dpp/client.h"
 #include "dpp/master.h"
 #include "dpp/worker.h"
+#include "dpp/worker_pool.h"
 
 namespace dsi::dpp {
-
-/**
- * Live auto-scaling knobs. When enabled, the session periodically
- * collects WorkerReports from the live pool, computes demand (tensors
- * delivered to trainers) and supply (tensors produced) rates over the
- * period, and applies the shared AutoScaler policy: positive deltas
- * launch stateless workers into the running session, negative deltas
- * gracefully drain victims (they finish and deliver everything held,
- * then retire) — the same controller sim_session simulates.
- */
-struct AutoScaleOptions
-{
-    bool enabled = false;
-    AutoScalerConfig scaler;
-
-    /** Wall-clock seconds between scaling evaluations. */
-    double interval_s = 0.02;
-};
 
 /**
  * Session tracing knobs. Tracing also turns on when the DSI_TRACE
@@ -95,11 +79,11 @@ struct SessionOptions
     TraceOptions trace;
 
     /**
-     * Heartbeat lease timeout (seconds). > 0 enables automatic
-     * failure detection: a silent worker holding in-flight splits is
-     * declared dead, its splits requeue, and the session starts a
-     * stateless replacement. 0 keeps detection manual
-     * (injectWorkerFailure only).
+     * Heartbeat lease timeout (seconds). > 0 enables the pool's lease:
+     * a silent worker holding in-flight splits is declared dead, its
+     * splits requeue, and a stateless replacement starts. With 0 only
+     * crashes (replaced on the next pass) and injectWorkerFailure are
+     * detected.
      */
     double lease_timeout = 0.0;
 
@@ -133,20 +117,6 @@ struct SessionResult
     uint64_t workers_drained = 0;  ///< retired by live auto-scaling
     dwrf::ReadStats read_stats;
     transforms::TransformStats transform_stats;
-};
-
-/**
- * One live scaling evaluation: exactly what the controller saw and
- * what it decided. The log lets tests replay the same input stream
- * through a fresh AutoScaler (the sim_session path) and assert the
- * live session did not drift from the shared policy.
- */
-struct ScalingEvent
-{
-    std::vector<WorkerReport> reports;
-    double demand_rate = 0.0;
-    double supply_rate = 0.0;
-    ScalingDecision decision;
 };
 
 /** A runnable, fault-injectable DPP session. */
@@ -184,7 +154,7 @@ class InProcessSession
      * start a stateless replacement. If the session is mid-run in
      * parallel mode, the replacement's pipeline starts immediately.
      */
-    void injectWorkerFailure(size_t i);
+    void injectWorkerFailure(size_t i) { pool_->fail(i); }
 
     /**
      * Drive the pipeline to completion: workers produce (pumped
@@ -197,10 +167,10 @@ class InProcessSession
     SessionResult run(TensorSink sink = nullptr,
                       uint64_t fail_after_splits = 0);
 
-    /** Every scaling evaluation the live controller made this run. */
-    const std::vector<ScalingEvent> &scalingLog() const
+    /** Recent scaling evaluations of the live controller (bounded). */
+    const std::deque<ScalingEvent> &scalingLog() const
     {
-        return scaling_log_;
+        return pool_->scalingLog();
     }
 
     /**
@@ -215,64 +185,30 @@ class InProcessSession
     }
 
     /**
-     * Merged metrics registry across the Master and the current
-     * worker and client pools — the bag MetricsExporter renders.
+     * Merged metrics registry across the Master, the worker pool
+     * (retired workers included) and the current clients — the bag
+     * MetricsExporter renders.
      */
     Metrics collectMetrics() const;
 
     /** Current worker-pool size (drained victims already retired). */
-    size_t workerCount() const { return workers_.size(); }
+    size_t workerCount() const { return pool_->size(); }
 
   private:
-    void rebuildClients();
-    /**
-     * Periodic scaling evaluation (no-op unless autoscale.enabled and
-     * interval_s has elapsed): collect live reports, launch or drain.
-     */
-    void maybeAutoscale(const SessionResult &result);
-    /** Remove drained scale-down victims from the pool. */
-    bool retireDrainedWorkers();
-    /** Fold one worker's stats into the retired accumulators. */
-    void foldWorkerStats(const Worker &w);
-    /** Stop worker `i` and start a stateless replacement. */
-    void replaceWorker(size_t i);
-    /**
-     * Poll the Master's lease monitor; replace any expired worker.
-     * Returns true when at least one worker was replaced.
-     */
-    bool checkLeases();
-    SessionResult runSynchronous(TensorSink sink,
-                                 uint64_t fail_after_splits);
-    SessionResult runParallel(TensorSink sink,
-                              uint64_t fail_after_splits);
-    /** Fold totals + fault accounting into a run's result. */
-    SessionResult finishResult(SessionResult result);
+    /** Reconnect the clients if the pool's membership changed. */
+    void syncClients();
     /** Drain every client once; returns tensors delivered. */
     uint64_t drainClients(SessionResult &result, TensorSink &sink);
 
     const warehouse::Warehouse &warehouse_;
     SessionOptions options_;
     std::unique_ptr<Master> master_;
-    std::vector<std::unique_ptr<Worker>> workers_;
+    std::unique_ptr<WorkerPool> pool_;
     std::vector<std::unique_ptr<Client>> clients_;
+    uint64_t clients_generation_ = 0; ///< pool generation clients see
     DeliveryLedger ledger_; ///< session-wide exactly-once dedup
-    uint64_t failures_ = 0;
-    bool running_parallel_ = false;
     std::atomic<bool> halt_requested_{false};
     std::vector<trace::TraceEvent> trace_events_; ///< last run's trace
-
-    // Live auto-scaling state.
-    std::unique_ptr<AutoScaler> scaler_;
-    std::vector<ScalingEvent> scaling_log_;
-    double last_eval_ = 0.0;      ///< wall clock of last evaluation
-    uint64_t last_delivered_ = 0; ///< demand-rate window anchor
-    double last_supplied_ = 0.0;  ///< supply-rate window anchor
-    uint64_t workers_launched_ = 0;
-    uint64_t workers_drained_ = 0;
-    // Stats of retired (scaled-down) workers, folded at retirement so
-    // finishResult still accounts for every byte they processed.
-    dwrf::ReadStats retired_read_stats_;
-    transforms::TransformStats retired_transform_stats_;
 };
 
 } // namespace dsi::dpp

@@ -114,8 +114,12 @@ class WorkSource
     virtual void releaseSplit(WorkerId worker, TenantId tenant,
                               uint64_t split_id) = 0;
 
-    /** Liveness signal from a worker's data-plane activity. */
-    virtual void heartbeat(WorkerId worker) = 0;
+    /**
+     * The worker pool declares `worker` dead (lease expired or
+     * crashed): every split it holds requeues for other workers, and
+     * its later calls are treated as a zombie's.
+     */
+    virtual void failWorker(WorkerId worker) = 0;
 
     /** The session spec a tenant's splits are processed under. */
     virtual const SessionSpec &tenantSpec(TenantId tenant) const = 0;

@@ -1,5 +1,7 @@
 #include "worker.h"
 
+#include <algorithm>
+
 #include "common/backoff.h"
 #include "common/fault.h"
 #include "common/logging.h"
@@ -55,26 +57,6 @@ Worker::~Worker()
     stop();
 }
 
-uint32_t
-Worker::extractThreadCount() const
-{
-    if (!parallel())
-        return 0;
-    return options_.num_extract_threads > 0
-               ? options_.num_extract_threads
-               : 1;
-}
-
-uint32_t
-Worker::transformThreadCount() const
-{
-    if (!parallel())
-        return 0;
-    return options_.num_transform_threads > 0
-               ? options_.num_transform_threads
-               : 1;
-}
-
 void
 Worker::start()
 {
@@ -83,8 +65,9 @@ Worker::start()
                "num_transform_threads > 0",
                id_);
     dsi_assert(!pool_, "worker %u already started", id_);
-    uint32_t extracters = extractThreadCount();
-    uint32_t transformers = transformThreadCount();
+    // Both stages get at least one thread.
+    uint32_t extracters = std::max(1u, options_.num_extract_threads);
+    uint32_t transformers = std::max(1u, options_.num_transform_threads);
     stripe_queue_ = std::make_unique<BoundedQueue<ExtractedStripe>>(
         options_.stripe_queue_capacity);
     active_extractors_ = extracters;
@@ -284,22 +267,213 @@ Worker::transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
         // Count the tensor against the split *before* it becomes
         // visible in the buffer, so a concurrent pop can never
         // observe a delivery the tracker has not heard of.
-        noteTensorEnqueued({tenant, split_id}, epoch);
-        if (blocking) {
-            trace::Timer wait;
-            if (!pushTensorBlocking(std::move(tensor))) {
-                // Stopped/crashed while waiting for buffer space; the
-                // tensor never entered the buffer.
-                noteTensorUnqueued({tenant, split_id}, epoch);
-                return false;
-            }
-            wait.complete(trace::spans::kBufferWait, span.id(),
-                          split_id);
-        } else {
-            enqueueTensor(std::move(tensor));
+        noteProgress({tenant, split_id}, epoch, Progress::TensorEnqueued);
+        trace::Timer wait;
+        if (!pushTensor(std::move(tensor), blocking)) {
+            // Stopped/crashed while waiting for buffer space; the
+            // tensor never entered the buffer.
+            noteProgress({tenant, split_id}, epoch,
+                         Progress::TensorUnqueued);
+            return false;
         }
+        if (blocking)
+            wait.complete(trace::spans::kBufferWait, span.id(), split_id);
     }
     return true;
+}
+
+// ---------------------------------------------------------------------
+// The split state machine (both modes).
+
+Worker::GrantStep
+Worker::acquireGrant(std::optional<HeldSplit> &held)
+{
+    beat(); // asking for work is proof of life
+    WorkerLoad load;
+    load.buffered_tensors = buffered();
+    load.buffer_full = bufferFull();
+    SplitGrant grant = control_.acquireSplit(id_, load);
+    switch (grant.status) {
+    case GrantStatus::Granted:
+        held.emplace();
+        held->grant = std::move(grant);
+        return GrantStep::Granted;
+    case GrantStatus::Overloaded:
+        metrics_.inc("worker.requests_shed");
+        return GrantStep::Retry;
+    case GrantStatus::Standby:
+        // The source has tenants coming or splits in flight
+        // elsewhere, just nothing for us *now*. Stay alive and
+        // re-poll — this is not overload, so no shed count.
+        metrics_.inc("worker.standby_polls");
+        return GrantStep::Retry;
+    default:
+        return GrantStep::Stop; // NoWork (idle out) or Rejected
+    }
+}
+
+Worker::SplitEnd
+Worker::openGrant(HeldSplit &held)
+{
+    const Split &split = held.split();
+    const SessionSpec &spec = control_.tenantSpec(held.grant.tenant);
+    // A resumed grant skips stripes already delivered to trainers in
+    // a previous attempt; this attempt owes only the tail.
+    if (split.resume_stripe > 0)
+        held.metrics.inc("worker.splits_resumed");
+    held.next = split.resume_stripe;
+    held.epoch = beginSplit(held.key(),
+                            split.stripe_count - split.resume_stripe);
+    held.source = warehouse_.cluster().open(split.file);
+    dwrf::ReadOptions read = spec.read;
+    read.projection = spec.projection;
+    read.verify_checksums = options_.verify_checksums;
+    // The open reads (file tail + footer) happen outside any stripe
+    // span; parent them on the grant so they keep lineage.
+    trace::ScopedParent open_ambient(held.grant.trace);
+    held.reader = std::make_unique<dwrf::FileReader>(*held.source, read);
+    if (!held.reader->valid()) {
+        dsi_warn("worker %u: unreadable file '%s'", id_,
+                 split.file.c_str());
+        return SplitEnd::Abandon;
+    }
+    held.reader->setDeadline(held.grant.deadline);
+    return SplitEnd::None;
+}
+
+Worker::SplitEnd
+Worker::nextStripe(HeldSplit &held, ExtractedStripe &out)
+{
+    const Split &split = held.split();
+    // A fully-delivered resume (every stripe reached trainers before
+    // the previous attempt died) has nothing left to read.
+    if (held.next >= split.stripe_count)
+        return SplitEnd::Done;
+    // The per-stripe gate, checked while the split is held — so an
+    // injected crash always leaves an in-flight split to recover.
+    if (stop_requested_ || crashed_)
+        return SplitEnd::Abort;
+    if (faultPoint(faults::kWorkerCrash)) {
+        crash();
+        return SplitEnd::Abort;
+    }
+    if (handback_) {
+        // Preempted: a higher-priority tenant needs this worker's
+        // capacity. Hand the split back at the stripe boundary.
+        held.metrics.inc("worker.splits_preempted");
+        return SplitEnd::Release;
+    }
+    beat();
+    if (held.grant.deadline.expired()) {
+        held.metrics.inc("worker.deadline_expired");
+        return SplitEnd::Release;
+    }
+
+    uint32_t stripe_index = split.first_stripe + held.next;
+    dwrf::ReadStatus status = dwrf::ReadStatus::Ok;
+    auto rows = stripe_pool_.acquire();
+    bool ok;
+    {
+        // The extract span closes before any terminal control-plane
+        // call or queue push, keeping per-thread span nesting
+        // strictly LIFO (the Chrome exporter relies on it).
+        trace::Span espan(trace::spans::kExtractStripe, held.grant.trace,
+                          split.id, stripe_index);
+        trace::ScopedParent ambient(espan.id());
+        ok = extractStripe(*held.reader, held.grant.tenant, stripe_index,
+                           *rows, held.metrics, &status);
+    }
+    if (!ok) {
+        stripe_pool_.release(std::move(rows));
+        if (status != dwrf::ReadStatus::DeadlineExpired)
+            return SplitEnd::Abandon;
+        held.metrics.inc("worker.deadline_expired");
+        return SplitEnd::Release;
+    }
+    out.tenant = held.grant.tenant;
+    out.split_id = split.id;
+    out.first_row = held.reader->footer().stripes[stripe_index].first_row;
+    out.stripe = held.next++;
+    out.epoch = held.epoch;
+    out.trace = held.grant.trace;
+    out.rows = std::move(rows);
+    return SplitEnd::None;
+}
+
+void
+Worker::finishGrant(HeldSplit &held, SplitEnd end)
+{
+    if (held.reader)
+        mergeReadStats(held.reader->stats());
+    metrics_.merge(held.metrics);
+    if (end == SplitEnd::Done) {
+        // Extraction done; completion waits for the last delivery.
+        noteProgress(held.key(), held.epoch, Progress::ExtractionDone);
+        return;
+    }
+    if (end != SplitEnd::Release && end != SplitEnd::Abandon)
+        return; // aborted: the split stays in flight and is requeued
+    // Leftover tensors of this attempt are filtered by epoch here and
+    // deduplicated by the client ledger.
+    auto [tenant, split_id] = held.key();
+    {
+        std::scoped_lock lock(progress_mutex_);
+        split_progress_.erase(held.key());
+    }
+    if (end == SplitEnd::Release) {
+        // Requeued with no attempt penalty.
+        control_.releaseSplit(id_, tenant, split_id);
+        metrics_.inc("worker.splits_released");
+    } else {
+        control_.failSplit(id_, tenant, split_id);
+        metrics_.inc("worker.splits_abandoned");
+    }
+    // Pool gauges must reflect terminal states too, not just clean
+    // completions — otherwise a crashy run reports stale reuse
+    // numbers until the next report interval.
+    publishPoolMetrics();
+}
+
+void
+Worker::transformExtracted(ExtractedStripe &work, TransformLane &lane,
+                           bool blocking)
+{
+    auto &graph = lane.graphs[work.tenant];
+    if (!graph) {
+        graph = std::make_unique<transforms::CompiledGraph>(
+            programFor(work.tenant));
+    }
+    bool whole = transformStripe(*work.rows, work.tenant, work.split_id,
+                                 work.epoch, work.first_row, work.stripe,
+                                 *graph, lane.stats, lane.metrics,
+                                 blocking, work.trace);
+    // The stripe's columns are no longer needed (mini-batches own
+    // copies); recycle the batch so the next extract reuses its heap
+    // capacity.
+    stripe_pool_.release(std::move(work.rows));
+    if (whole) {
+        noteProgress({work.tenant, work.split_id}, work.epoch,
+                     Progress::StripeTransformed);
+    }
+}
+
+void
+Worker::foldLane(TransformLane &lane)
+{
+    {
+        std::scoped_lock lock(stats_mutex_);
+        transform_stats_.merge(lane.stats);
+    }
+    metrics_.merge(lane.metrics);
+    lane.stats = {};
+    lane.metrics = {};
+}
+
+void
+Worker::endProduction()
+{
+    std::scoped_lock lock(buffer_mutex_);
+    no_more_work_ = true;
 }
 
 // ---------------------------------------------------------------------
@@ -315,145 +489,41 @@ Worker::extractLoop()
         BackoffOptions{.base_us = 200, .cap_us = 2000},
         0xb0ffULL + id_);
     while (!stop_requested_ && !crashed_ && !draining_) {
-        WorkerLoad load;
-        load.buffered_tensors = buffered();
-        load.buffer_full = bufferFull();
-        SplitGrant grant = control_.acquireSplit(id_, load);
-        if (grant.status == GrantStatus::Overloaded) {
-            metrics_.inc("worker.requests_shed");
+        std::optional<HeldSplit> held;
+        GrantStep step = acquireGrant(held);
+        if (step == GrantStep::Retry) {
             shed_backoff.sleep(Deadline::unbounded());
             continue;
         }
-        if (grant.status == GrantStatus::Standby) {
-            // The source has tenants coming or splits in flight
-            // elsewhere, just nothing for us *now*. Stay alive and
-            // re-poll — this is not overload, so no shed count.
-            metrics_.inc("worker.standby_polls");
-            shed_backoff.sleep(Deadline::unbounded());
-            continue;
-        }
-        if (grant.status != GrantStatus::Granted)
-            break; // NoWork (idle out) or Rejected (zombie)
+        if (step == GrantStep::Stop)
+            break;
         shed_backoff.reset();
-        const TenantId tenant = grant.tenant;
-        const SessionSpec &spec = control_.tenantSpec(tenant);
-        const Split &split = *grant.split;
-        SplitKey key{tenant, split.id};
-        // A resumed grant skips stripes already delivered to trainers
-        // in a previous attempt; this attempt owes only the tail.
-        if (split.resume_stripe > 0)
-            metrics_.inc("worker.splits_resumed");
-        uint64_t epoch = beginSplit(
-            key, split.stripe_count - split.resume_stripe);
-        auto source = warehouse_.cluster().open(split.file);
-        dwrf::ReadOptions read = spec.read;
-        read.projection = spec.projection;
-        read.verify_checksums = options_.verify_checksums;
-        // The open reads (file tail + footer) happen outside any
-        // stripe span; parent them on the grant so they keep lineage.
-        trace::ScopedParent open_ambient(grant.trace);
-        dwrf::FileReader reader(*source, read);
-        if (!reader.valid()) {
-            dsi_warn("worker %u: unreadable file '%s'", id_,
-                     split.file.c_str());
-            abandonSplit(key);
-            continue;
-        }
-        reader.setDeadline(grant.deadline);
-
-        // Per-thread metric accumulation, folded in once per split.
-        Metrics local;
-        bool aborted = false;
-        bool abandoned = false;
-        bool released = false;
-        for (uint32_t s = split.resume_stripe; s < split.stripe_count;
-             ++s) {
-            if (stop_requested_ || crashed_) {
-                aborted = true;
-                break;
-            }
-            if (faultPoint(faults::kWorkerCrash)) {
-                crash();
-                aborted = true;
-                break;
-            }
-            if (handback_) {
-                // Preempted: a higher-priority tenant needs this
-                // worker's capacity. Hand the split back at the
-                // stripe boundary (requeued, no attempt penalty).
-                local.inc("worker.splits_preempted");
-                released = true;
-                break;
-            }
-            control_.heartbeat(id_); // per-stripe lease renewal
-            if (grant.deadline.expired()) {
-                local.inc("worker.deadline_expired");
-                released = true;
-                break;
-            }
-            uint32_t stripe_index = split.first_stripe + s;
-            dwrf::ReadStatus status = dwrf::ReadStatus::Ok;
-            auto rows = stripe_pool_.acquire();
-            bool ok;
-            {
-                // The extract span closes before any terminal Master
-                // call or queue push, keeping per-thread span nesting
-                // strictly LIFO (the Chrome exporter relies on it).
-                trace::Span espan(trace::spans::kExtractStripe,
-                                  grant.trace, split.id, stripe_index);
-                trace::ScopedParent ambient(espan.id());
-                ok = extractStripe(reader, tenant, stripe_index, *rows,
-                                   local, &status);
-            }
-            if (!ok) {
-                stripe_pool_.release(std::move(rows));
-                if (status == dwrf::ReadStatus::DeadlineExpired) {
-                    local.inc("worker.deadline_expired");
-                    released = true;
-                } else {
-                    abandoned = true;
-                }
-                break;
-            }
+        SplitEnd end = openGrant(*held);
+        while (end == SplitEnd::None) {
             ExtractedStripe work;
-            work.tenant = tenant;
-            work.split_id = split.id;
-            work.first_row =
-                reader.footer().stripes[stripe_index].first_row;
-            work.stripe = s;
-            work.epoch = epoch;
-            work.trace = grant.trace;
-            work.rows = std::move(rows);
+            end = nextStripe(*held, work);
+            if (end != SplitEnd::None)
+                break;
             // Backpressure observes the split budget: a stalled
             // transform stage must not pin an expired split forever.
             trace::Timer wait;
+            uint32_t stripe_index = held->split().first_stripe + work.stripe;
             if (!stripe_queue_->push(std::move(work),
-                                     grant.deadline)) {
+                                     held->grant.deadline)) {
                 if (stripe_queue_->closed()) {
-                    aborted = true; // shutting down
+                    end = SplitEnd::Abort; // shutting down
                 } else {
-                    local.inc("worker.deadline_expired");
-                    released = true;
+                    held->metrics.inc("worker.deadline_expired");
+                    end = SplitEnd::Release;
                 }
                 break;
             }
-            wait.complete(trace::spans::kQueuePushWait, grant.trace,
-                          split.id, stripe_index);
+            wait.complete(trace::spans::kQueuePushWait, held->grant.trace,
+                          held->split().id, stripe_index);
         }
-        mergeReadStats(reader.stats());
-        metrics_.merge(local);
-        if (aborted)
-            break; // split stays in flight; the Master requeues it
-        if (released) {
-            returnSplit(key);
-            continue;
-        }
-        if (abandoned) {
-            abandonSplit(key);
-            continue;
-        }
-        // Extraction done; completion waits for the last delivery.
-        finishExtraction(key, epoch);
+        finishGrant(*held, end);
+        if (end == SplitEnd::Abort)
+            break;
     }
     // Last extractor out ends the stripe stream so transformers can
     // drain and quiesce.
@@ -464,54 +534,26 @@ Worker::extractLoop()
 void
 Worker::transformLoop()
 {
-    // Per-thread, per-tenant compiled programs and per-thread stat
-    // accumulators; totals are folded in once on exit (drain) rather
-    // than per mini-batch. Compiled ops hold per-instance state (e.g.
-    // the Sampling counter), so instances are never shared across
-    // threads — each thread compiles its own copy per tenant.
-    std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>
-        graphs;
-    transforms::TransformStats stats;
-    Metrics local;
+    // Totals are folded in once on exit (drain) rather than per
+    // mini-batch.
+    TransformLane lane;
     while (auto work = stripe_queue_->pop()) {
         if (crashed_)
             break;
-        auto &graph = graphs[work->tenant];
-        if (!graph) {
-            graph = std::make_unique<transforms::CompiledGraph>(
-                programFor(work->tenant));
-        }
-        bool whole = transformStripe(*work->rows, work->tenant,
-                                     work->split_id, work->epoch,
-                                     work->first_row, work->stripe,
-                                     *graph, stats, local,
-                                     /*blocking=*/true, work->trace);
-        // The stripe's columns are no longer needed (mini-batches own
-        // copies); recycle the batch so the next extract reuses its
-        // heap capacity.
-        stripe_pool_.release(std::move(work->rows));
-        if (whole)
-            noteStripeTransformed({work->tenant, work->split_id},
-                                  work->epoch);
+        transformExtracted(*work, lane, /*blocking=*/true);
         if (stop_requested_ || crashed_)
             break;
     }
-    {
-        std::scoped_lock lock(stats_mutex_);
-        transform_stats_.merge(stats);
-    }
-    metrics_.merge(local);
+    foldLane(lane);
     publishPoolMetrics();
     // Last transformer out marks production finished: drained() can
     // only become true after every pipeline thread has quiesced.
-    if (active_transformers_.fetch_sub(1) == 1) {
-        std::scoped_lock lock(buffer_mutex_);
-        no_more_work_ = true;
-    }
+    if (active_transformers_.fetch_sub(1) == 1)
+        endProduction();
 }
 
 // ---------------------------------------------------------------------
-// Synchronous (pump) mode.
+// Synchronous (pump) mode: one stripe through the same stages.
 
 bool
 Worker::pump()
@@ -521,7 +563,7 @@ Worker::pump()
                id_);
     if (crashed_)
         return false;
-    control_.heartbeat(id_); // per-pump lease renewal
+    beat();
     {
         std::scoped_lock lock(buffer_mutex_);
         if (no_more_work_)
@@ -529,175 +571,32 @@ Worker::pump()
         if (bufferFullLocked())
             return true; // backpressure: trainers are behind
     }
-    if (current_ && handback_) {
-        // Preempted mid-split: hand it back at the stripe boundary.
-        metrics_.inc("worker.splits_preempted");
-        releaseCurrentSplit();
-        return true;
-    }
-    if (!current_) {
-        if (draining_) {
-            std::scoped_lock lock(buffer_mutex_);
-            no_more_work_ = true;
+    SplitEnd end = SplitEnd::None;
+    if (!held_) {
+        GrantStep step =
+            draining_ ? GrantStep::Stop : acquireGrant(held_);
+        if (step == GrantStep::Retry)
+            return true; // shed or standby; ask again next pump
+        if (step == GrantStep::Stop) {
+            endProduction();
             return false;
         }
-        WorkerLoad load;
-        load.buffered_tensors = buffered();
-        load.buffer_full = bufferFull();
-        SplitGrant grant = control_.acquireSplit(id_, load);
-        if (grant.status == GrantStatus::Overloaded) {
-            metrics_.inc("worker.requests_shed");
-            return true; // shed; ask again next pump
+        end = openGrant(*held_);
+    }
+    if (end == SplitEnd::None) {
+        ExtractedStripe work;
+        end = nextStripe(*held_, work);
+        if (end == SplitEnd::None) {
+            transformExtracted(work, pump_lane_, /*blocking=*/false);
+            foldLane(pump_lane_);
+            if (held_->next < held_->split().stripe_count)
+                return true;
+            end = SplitEnd::Done;
         }
-        if (grant.status == GrantStatus::Standby) {
-            // Between arrivals: stay alive, ask again next pump.
-            metrics_.inc("worker.standby_polls");
-            return true;
-        }
-        if (grant.status != GrantStatus::Granted) {
-            std::scoped_lock lock(buffer_mutex_);
-            no_more_work_ = true;
-            return false;
-        }
-        current_tenant_ = grant.tenant;
-        current_deadline_ = grant.deadline;
-        current_trace_ = grant.trace;
-        if (!openSplit(*grant.split))
-            return true; // split abandoned; try another next pump
     }
-    // Per-stripe crash point, checked while a split is held — same
-    // placement as the parallel extract loop, so an injected crash
-    // always leaves an in-flight split for lease recovery to replay.
-    if (faultPoint(faults::kWorkerCrash)) {
-        crash();
-        return false;
-    }
-    if (current_deadline_.expired()) {
-        metrics_.inc("worker.deadline_expired");
-        releaseCurrentSplit();
-        return true;
-    }
-    if (!processNextStripe())
-        return true; // released or abandoned internally
-    if (next_stripe_ >= current_->stripe_count)
-        closeSplit();
-    return true;
-}
-
-bool
-Worker::openSplit(const Split &split)
-{
-    current_ = split;
-    // Resumed grants re-read only the undelivered stripe tail.
-    next_stripe_ = split.resume_stripe;
-    if (split.resume_stripe > 0)
-        metrics_.inc("worker.splits_resumed");
-    source_ = warehouse_.cluster().open(split.file);
-    const SessionSpec &spec = control_.tenantSpec(current_tenant_);
-    dwrf::ReadOptions read = spec.read;
-    read.projection = spec.projection;
-    read.verify_checksums = options_.verify_checksums;
-    // Parent the open reads (file tail + footer) on the grant span.
-    trace::ScopedParent open_ambient(current_trace_);
-    reader_ = std::make_unique<dwrf::FileReader>(*source_, read);
-    if (!reader_->valid()) {
-        dsi_warn("worker %u: unreadable file '%s'", id_,
-                 split.file.c_str());
-        current_epoch_ =
-            beginSplit({current_tenant_, split.id},
-                       split.stripe_count - split.resume_stripe);
-        abandonCurrentSplit();
-        return false;
-    }
-    reader_->setDeadline(current_deadline_);
-    current_epoch_ =
-        beginSplit({current_tenant_, split.id},
-                   split.stripe_count - split.resume_stripe);
-    return true;
-}
-
-bool
-Worker::processNextStripe()
-{
-    // A fully-delivered resume (every stripe was already handed to
-    // trainers before the previous attempt died) has nothing left to
-    // read; pump() closes the split right after this returns.
-    if (next_stripe_ >= current_->stripe_count)
-        return true;
-    uint32_t stripe_index = current_->first_stripe + next_stripe_;
-    dwrf::ReadStatus status = dwrf::ReadStatus::Ok;
-    auto stripe = stripe_pool_.acquire();
-    bool ok;
-    {
-        trace::Span espan(trace::spans::kExtractStripe,
-                          current_trace_, current_->id, stripe_index);
-        trace::ScopedParent ambient(espan.id());
-        ok = extractStripe(*reader_, current_tenant_, stripe_index,
-                           *stripe, metrics_, &status);
-    }
-    if (!ok) {
-        stripe_pool_.release(std::move(stripe));
-        if (status == dwrf::ReadStatus::DeadlineExpired) {
-            metrics_.inc("worker.deadline_expired");
-            releaseCurrentSplit();
-        } else {
-            abandonCurrentSplit();
-        }
-        return false;
-    }
-    RowId first_row = reader_->footer().stripes[stripe_index].first_row;
-    uint32_t relative_stripe = next_stripe_;
-    ++next_stripe_;
-    auto &graph = sync_graphs_[current_tenant_];
-    if (!graph) {
-        graph = std::make_unique<transforms::CompiledGraph>(
-            programFor(current_tenant_));
-    }
-    if (transformStripe(*stripe, current_tenant_, current_->id,
-                        current_epoch_, first_row, relative_stripe,
-                        *graph, transform_stats_, metrics_,
-                        /*blocking=*/false, current_trace_)) {
-        noteStripeTransformed({current_tenant_, current_->id},
-                              current_epoch_);
-    }
-    stripe_pool_.release(std::move(stripe));
-    return true;
-}
-
-void
-Worker::closeSplit()
-{
-    mergeReadStats(reader_->stats());
-    // Completion is delivery-gated: the Master hears completeSplit
-    // once the last buffered tensor of this split is popped.
-    finishExtraction({current_tenant_, current_->id}, current_epoch_);
-    reader_.reset();
-    source_.reset();
-    current_.reset();
-}
-
-void
-Worker::abandonCurrentSplit()
-{
-    if (reader_)
-        mergeReadStats(reader_->stats());
-    SplitKey key{current_tenant_, current_->id};
-    reader_.reset();
-    source_.reset();
-    current_.reset();
-    abandonSplit(key);
-}
-
-void
-Worker::releaseCurrentSplit()
-{
-    if (reader_)
-        mergeReadStats(reader_->stats());
-    SplitKey key{current_tenant_, current_->id};
-    reader_.reset();
-    source_.reset();
-    current_.reset();
-    returnSplit(key);
+    finishGrant(*held_, end);
+    held_.reset();
+    return end != SplitEnd::Abort;
 }
 
 void
@@ -751,12 +650,14 @@ Worker::bufferedBytes() const
 }
 
 bool
-Worker::pushTensorBlocking(TensorBatch tensor)
+Worker::pushTensor(TensorBatch tensor, bool blocking)
 {
     std::unique_lock lock(buffer_mutex_);
-    space_available_.wait(lock, [this] {
-        return stop_requested_ || crashed_ || !bufferFullLocked();
-    });
+    if (blocking) {
+        space_available_.wait(lock, [this] {
+            return stop_requested_ || crashed_ || !bufferFullLocked();
+        });
+    }
     if (stop_requested_ || crashed_)
         return false;
     buffered_bytes_ += tensor.bytes;
@@ -764,12 +665,11 @@ Worker::pushTensorBlocking(TensorBatch tensor)
     return true;
 }
 
-void
-Worker::enqueueTensor(TensorBatch tensor)
+bool
+Worker::holdsSplits() const
 {
-    std::scoped_lock lock(buffer_mutex_);
-    buffered_bytes_ += tensor.bytes;
-    buffer_.push_back(std::move(tensor));
+    std::scoped_lock lock(progress_mutex_);
+    return !split_progress_.empty();
 }
 
 bool
@@ -779,9 +679,8 @@ Worker::drained() const
         // A crashed worker is "drained" once nothing depends on it:
         // its progress trackers empty exactly when every split it
         // touched completed or was handed back to the Master. A
-        // non-empty tracker means an in-flight split, whose lease
-        // expiry will trigger replacement — the session never waits
-        // on a crashed worker that still owes work.
+        // non-empty tracker means an in-flight split, which the pool
+        // fails back when it replaces the worker.
         std::scoped_lock lock(progress_mutex_);
         return split_progress_.empty();
     }
@@ -801,7 +700,7 @@ Worker::popTensor()
     if (buffer_.empty()) {
         lock.unlock();
         // Answering an (empty) RPC is still proof of life.
-        control_.heartbeat(id_);
+        beat();
         return std::nullopt;
     }
     TensorBatch t = std::move(buffer_.front());
@@ -810,8 +709,9 @@ Worker::popTensor()
     lock.unlock();
     space_available_.notify_one();
     metrics_.inc("worker.tensors_served");
-    control_.heartbeat(id_);
-    noteTensorDelivered({t.tenant, t.split_id}, t.epoch);
+    beat();
+    noteProgress({t.tenant, t.split_id}, t.epoch,
+                 Progress::TensorDelivered);
     return t;
 }
 
@@ -850,89 +750,42 @@ Worker::beginSplit(SplitKey key, uint32_t stripes_total)
 }
 
 void
-Worker::noteTensorEnqueued(SplitKey key, uint64_t epoch)
-{
-    std::scoped_lock lock(progress_mutex_);
-    auto it = split_progress_.find(key);
-    if (it != split_progress_.end() && it->second.epoch == epoch)
-        ++it->second.tensors_buffered;
-}
-
-void
-Worker::noteTensorUnqueued(SplitKey key, uint64_t epoch)
-{
-    std::scoped_lock lock(progress_mutex_);
-    auto it = split_progress_.find(key);
-    if (it != split_progress_.end() && it->second.epoch == epoch &&
-        it->second.tensors_buffered > 0) {
-        --it->second.tensors_buffered;
-    }
-}
-
-void
-Worker::noteTensorDelivered(SplitKey key, uint64_t epoch)
+Worker::noteProgress(SplitKey key, uint64_t epoch, Progress event)
 {
     {
         std::scoped_lock lock(progress_mutex_);
         auto it = split_progress_.find(key);
-        // Epoch mismatch: a leftover tensor of an earlier, abandoned
-        // attempt — it must not touch the current attempt's counts.
+        // Epoch mismatch: a leftover of an earlier, abandoned attempt —
+        // it must not touch the current attempt's counts.
         if (it == split_progress_.end() || it->second.epoch != epoch)
             return;
-        if (it->second.tensors_buffered > 0)
-            --it->second.tensors_buffered;
-    }
-    maybeCompleteSplit(key);
-}
-
-void
-Worker::noteStripeTransformed(SplitKey key, uint64_t epoch)
-{
-    {
-        std::scoped_lock lock(progress_mutex_);
-        auto it = split_progress_.find(key);
-        if (it == split_progress_.end() || it->second.epoch != epoch)
-            return;
-        ++it->second.stripes_transformed;
-    }
-    maybeCompleteSplit(key);
-}
-
-void
-Worker::finishExtraction(SplitKey key, uint64_t epoch)
-{
-    {
-        std::scoped_lock lock(progress_mutex_);
-        auto it = split_progress_.find(key);
-        if (it == split_progress_.end() || it->second.epoch != epoch)
-            return;
-        it->second.extraction_done = true;
-    }
-    maybeCompleteSplit(key);
-}
-
-void
-Worker::maybeCompleteSplit(SplitKey key)
-{
-    bool complete = false;
-    {
-        std::scoped_lock lock(progress_mutex_);
-        auto it = split_progress_.find(key);
-        if (it != split_progress_.end() && it->second.extraction_done &&
-            it->second.stripes_transformed ==
-                it->second.stripes_total &&
-            it->second.tensors_buffered == 0) {
-            split_progress_.erase(it);
-            complete = true;
+        SplitProgress &p = it->second;
+        switch (event) {
+        case Progress::TensorEnqueued:
+            ++p.tensors_buffered;
+            break;
+        case Progress::TensorUnqueued:
+        case Progress::TensorDelivered:
+            if (p.tensors_buffered > 0)
+                --p.tensors_buffered;
+            break;
+        case Progress::StripeTransformed:
+            ++p.stripes_transformed;
+            break;
+        case Progress::ExtractionDone:
+            p.extraction_done = true;
+            break;
         }
+        if (!p.extraction_done || p.stripes_transformed != p.stripes_total ||
+            p.tensors_buffered != 0)
+            return;
+        split_progress_.erase(it);
     }
     // Control-plane call happens outside every lock (lock-order
     // hygiene: WorkSource implementations take their own mutexes).
-    if (complete) {
-        control_.completeSplit(id_, key.first, key.second);
-        metrics_.inc("worker.splits_completed");
-        publishPoolMetrics();
-    }
+    control_.completeSplit(id_, key.first, key.second);
+    metrics_.inc("worker.splits_completed");
+    publishPoolMetrics();
 }
 
 void
@@ -944,36 +797,6 @@ Worker::publishPoolMetrics()
                  static_cast<double>(stripe_pool_.reused()));
     metrics_.set("worker.stripe_pool_retained_bytes",
                  static_cast<double>(stripe_pool_.retainedBytes()));
-}
-
-void
-Worker::abandonSplit(SplitKey key)
-{
-    {
-        std::scoped_lock lock(progress_mutex_);
-        split_progress_.erase(key);
-    }
-    control_.failSplit(id_, key.first, key.second);
-    metrics_.inc("worker.splits_abandoned");
-    // Pool gauges must reflect terminal states too, not just clean
-    // completions — otherwise a crashy run reports stale reuse
-    // numbers until the next report interval.
-    publishPoolMetrics();
-}
-
-void
-Worker::returnSplit(SplitKey key)
-{
-    // Same cleanup as abandonSplit, but the control plane requeues
-    // with no attempt penalty: leftover tensors of this attempt are
-    // filtered by epoch here and deduplicated by the client ledger.
-    {
-        std::scoped_lock lock(progress_mutex_);
-        split_progress_.erase(key);
-    }
-    control_.releaseSplit(id_, key.first, key.second);
-    metrics_.inc("worker.splits_released");
-    publishPoolMetrics();
 }
 
 void

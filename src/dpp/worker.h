@@ -15,22 +15,30 @@
  * compiled graph per mini-batch), and partially load (batch rows into
  * ready-to-load tensors buffered in memory).
  *
- * Two execution modes share one Worker:
+ * Two execution modes share one Worker and one split state machine,
+ * written as stage functions: acquire a grant (handling shed and
+ * standby), open the held split, gate each stripe (crash, preemption
+ * handback, liveness beat, deadline), extract it, and finish the split
+ * as complete, released or abandoned.
  *
  *  - **Synchronous** (`num_extract_threads == num_transform_threads
- *    == 0`, the default): callers drive progress one stripe at a time
- *    via pump(). Used by deterministic tests and single-threaded
- *    drivers.
+ *    == 0`, the default): each pump() pushes one stripe through those
+ *    stages and transforms it inline. Used by deterministic tests and
+ *    single-threaded callers.
  *
  *  - **Parallel** (either knob > 0): start() launches the pipelined
  *    data plane the paper describes — production workers run *many*
  *    extract/transform threads per node (Sections III-B1, VI-C). N
- *    extract threads pull splits from the Master and push decoded
- *    stripes into a bounded queue; M transform threads pop stripes,
- *    apply a per-thread compiled graph per mini-batch, and append to
- *    the byte-capped tensor buffer, blocking when trainers fall
- *    behind (backpressure instead of OOM). stop() aborts and joins
- *    cleanly; natural end-of-work drains and quiesces on its own.
+ *    extract threads drive the same stages and push decoded stripes
+ *    into a bounded queue; M transform threads pop stripes, apply a
+ *    per-thread compiled graph per mini-batch, and append to the
+ *    byte-capped tensor buffer, blocking when trainers fall behind
+ *    (backpressure instead of OOM). stop() aborts and joins cleanly;
+ *    natural end-of-work drains and quiesces on its own.
+ *
+ * Liveness is a beat counter (beats()) that the owning WorkerPool
+ * samples for its heartbeat lease; the worker never reports it to the
+ * control plane itself.
  *
  * Thread safety: popTensor(), drained(), buffered(), bufferedBytes(),
  * bufferFull(), and the stats/metrics accessors are safe to call from
@@ -229,7 +237,7 @@ class Worker
 
     /**
      * Graceful scale-down: stop acquiring new splits, finish (and
-     * deliver) everything already held, then quiesce. The session
+     * deliver) everything already held, then quiesce. The pool
      * retires the worker once drained() turns true — no split is
      * abandoned and no delivered row is lost, unlike stop(). Safe in
      * both modes; idempotent.
@@ -254,10 +262,20 @@ class Worker
     /**
      * True once the worker.crash fault point fired on this worker.
      * A crashed worker stops producing, serves no tensors (its
-     * buffered batches are lost), and no longer heartbeats — so its
-     * lease expires and the Master requeues its splits.
+     * buffered batches are lost), and stops beating — so its pool
+     * lease expires and its splits requeue.
      */
     bool crashed() const { return crashed_; }
+
+    /**
+     * Liveness beats so far: one per pump(), grant request, stripe
+     * gate and served (or empty) tensor poll. A crashed worker stops
+     * counting. The pool samples this for its heartbeat lease.
+     */
+    uint64_t beats() const { return beats_; }
+
+    /** True while any split is held (granted and not yet finished). */
+    bool holdsSplits() const;
 
     /**
      * Clients pop tensors over (simulated) RPC. Thread-safe. Returns
@@ -331,34 +349,91 @@ class Worker
         bool extraction_done = false;
     };
 
-    // Split-progress bookkeeping (both modes). None of these hold
+    /**
+     * A split held by one extract stage — an extract thread's local,
+     * or pump()'s member between calls — from grant to finish.
+     */
+    struct HeldSplit
+    {
+        SplitGrant grant;
+        uint64_t epoch = 0;
+        uint32_t next = 0; ///< next relative stripe to extract
+        std::unique_ptr<dwrf::RandomAccessSource> source;
+        std::unique_ptr<dwrf::FileReader> reader;
+        Metrics metrics; ///< folded in once, at finish
+
+        const Split &split() const { return *grant.split; }
+        SplitKey key() const { return {grant.tenant, grant.split->id}; }
+    };
+
+    /** What acquireGrant() tells its caller to do next. */
+    enum class GrantStep
+    {
+        Granted, ///< a split is held: open it
+        Retry,   ///< shed or standby: ask again later
+        Stop,    ///< no work will come (NoWork) or zombie (Rejected)
+    };
+
+    /** How the held split leaves the extract stage. */
+    enum class SplitEnd
+    {
+        None,    ///< still held: keep extracting
+        Done,    ///< every stripe extracted; completes on delivery
+        Release, ///< hand back, no attempt penalty (deadline, preempt)
+        Abandon, ///< unreadable: fail it back to the control plane
+        Abort,   ///< stopped or crashed: leave it in flight
+    };
+
+    /**
+     * Per-thread transform state: compiled ops hold per-instance state
+     * (e.g. the Sampling counter), so each transform thread — and
+     * pump() — compiles its own copy per tenant, and accumulates stats
+     * privately until foldLane().
+     */
+    struct TransformLane
+    {
+        std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>
+            graphs;
+        transforms::TransformStats stats;
+        Metrics metrics;
+    };
+
+    // The split state machine, shared by pump() and the threads.
+    GrantStep acquireGrant(std::optional<HeldSplit> &held);
+    SplitEnd openGrant(HeldSplit &held);
+    /** Gate, then extract the next stripe into `out`. */
+    SplitEnd nextStripe(HeldSplit &held, ExtractedStripe &out);
+    void finishGrant(HeldSplit &held, SplitEnd end);
+    /** Transform one extracted stripe and recycle its batch. */
+    void transformExtracted(ExtractedStripe &work, TransformLane &lane,
+                            bool blocking);
+    void foldLane(TransformLane &lane);
+    void beat() { ++beats_; }
+    /** No further splits will be acquired (both modes). */
+    void endProduction();
+
+    /** Events that move a split's delivery tracker. */
+    enum class Progress
+    {
+        TensorEnqueued,
+        TensorUnqueued, ///< push failed: stopped or crashed
+        TensorDelivered,
+        StripeTransformed,
+        ExtractionDone,
+    };
+
+    // Split-progress bookkeeping (both modes). Neither holds
     // progress_mutex_ while calling into the control plane or the
     // buffer.
     uint64_t beginSplit(SplitKey key, uint32_t stripes_total);
-    void noteTensorEnqueued(SplitKey key, uint64_t epoch);
-    void noteTensorUnqueued(SplitKey key, uint64_t epoch);
-    void noteTensorDelivered(SplitKey key, uint64_t epoch);
-    void noteStripeTransformed(SplitKey key, uint64_t epoch);
-    void finishExtraction(SplitKey key, uint64_t epoch);
-    void maybeCompleteSplit(SplitKey key);
-    /** Give up on a split (unreadable data): failSplit + cleanup. */
-    void abandonSplit(SplitKey key);
-    /** Hand a split back (deadline/drain): releaseSplit + cleanup. */
-    void returnSplit(SplitKey key);
+    /** Apply `event` to this attempt's tracker; complete the split
+     * at the control plane once it is fully delivered. */
+    void noteProgress(SplitKey key, uint64_t epoch, Progress event);
 
     /** Simulate this worker process dying (worker.crash fault). */
     void crash();
 
-    // Synchronous-mode split processing.
-    bool openSplit(const Split &split);
-    bool processNextStripe();
-    void closeSplit();
-    void abandonCurrentSplit();
-    void releaseCurrentSplit();
-
     // Parallel pipeline stages.
-    uint32_t extractThreadCount() const;
-    uint32_t transformThreadCount() const;
     void extractLoop();
     void transformLoop();
 
@@ -402,10 +477,11 @@ class Worker
                          trace::SpanId grant_span = trace::kNoSpan);
 
     bool bufferFullLocked() const;
-    /** Blocking append honoring the caps; false if stopped. */
-    bool pushTensorBlocking(TensorBatch tensor);
-    /** Non-blocking append (synchronous pump path). */
-    void enqueueTensor(TensorBatch tensor);
+    /**
+     * Append to the buffer; `blocking` waits for room under the caps
+     * (the synchronous pump path appends at once). False if stopped.
+     */
+    bool pushTensor(TensorBatch tensor, bool blocking);
     void mergeReadStats(const dwrf::ReadStats &rs);
 
     WorkSource &control_;
@@ -419,9 +495,6 @@ class Worker
     // programFor() stay valid while threads compile private copies.
     mutable std::mutex program_mutex_;
     std::map<TenantId, transforms::TransformGraph> programs_;
-    /** Sync mode: one compiled graph per tenant (pump thread only). */
-    std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>
-        sync_graphs_;
 
     // Tensor buffer (the partial-load stage). Guarded by buffer_mutex_.
     mutable std::mutex buffer_mutex_;
@@ -440,21 +513,17 @@ class Worker
     std::atomic<bool> crashed_{false};
     std::atomic<uint32_t> active_extractors_{0};
     std::atomic<uint32_t> active_transformers_{0};
+    std::atomic<uint64_t> beats_{0};
 
     // Delivery-tracked split progress (exactly-once completion).
     mutable std::mutex progress_mutex_;
     std::map<SplitKey, SplitProgress> split_progress_;
     uint64_t next_epoch_ = 1; ///< guarded by progress_mutex_
 
-    // Synchronous-mode in-progress split (stripe-granular pipelining).
-    std::optional<Split> current_;
-    TenantId current_tenant_ = 0; ///< tenant of the held grant
-    Deadline current_deadline_; ///< budget of the held grant
-    trace::SpanId current_trace_ = trace::kNoSpan; ///< held grant span
-    uint64_t current_epoch_ = 0;
-    uint32_t next_stripe_ = 0;
-    std::unique_ptr<dwrf::RandomAccessSource> source_;
-    std::unique_ptr<dwrf::FileReader> reader_;
+    // Synchronous mode: the split and transform lane pump() carries
+    // from one call to the next.
+    std::optional<HeldSplit> held_;
+    TransformLane pump_lane_;
 
     // Cumulative stats; pipeline threads fold in under stats_mutex_.
     mutable std::mutex stats_mutex_;

@@ -1,7 +1,5 @@
 #include "dpp_fleet.h"
 
-#include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "common/logging.h"
@@ -9,14 +7,6 @@
 namespace dsi::sched {
 
 namespace {
-
-double
-steadySeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::string
 tenantMetric(TenantId tenant, const char *field)
@@ -42,10 +32,7 @@ jobClassName(JobClass c)
 
 FleetScheduler::FleetScheduler(const warehouse::Warehouse &warehouse,
                                FleetOptions options)
-    : warehouse_(warehouse), options_(options),
-      parallel_(options.worker.num_extract_threads > 0 ||
-                options.worker.num_transform_threads > 0),
-      clock_(steadySeconds)
+    : warehouse_(warehouse), options_(options)
 {
     dsi_assert(options_.initial_workers >= 1,
                "fleet needs >= 1 worker");
@@ -54,20 +41,15 @@ FleetScheduler::FleetScheduler(const warehouse::Warehouse &warehouse,
     if (options_.self_heal.cluster)
         options_.self_heal.cluster->startHealer(
             options_.self_heal.heal);
-    if (options_.autoscale.enabled)
-        scaler_ =
-            std::make_unique<dpp::AutoScaler>(options_.autoscale.scaler);
-    last_eval_ = clock_();
-    for (uint32_t i = 0; i < options_.initial_workers; ++i)
-        launchWorker();
-    // The initial pool is baseline capacity, not a scaling action.
-    workers_launched_ = 0;
+    // Built last: each worker registers with this fleet on creation.
+    pool_ = std::make_unique<dpp::WorkerPool>(
+        *this, warehouse_, options_.worker, options_.initial_workers,
+        options_.lease_timeout, options_.autoscale);
 }
 
 FleetScheduler::~FleetScheduler()
 {
-    for (auto &w : workers_)
-        w->stop();
+    pool_->stop();
     if (options_.self_heal.cluster)
         options_.self_heal.cluster->stopHealer();
 }
@@ -122,16 +104,7 @@ WorkerId
 FleetScheduler::registerWorker()
 {
     std::scoped_lock lock(mutex_);
-    WorkerId id = next_worker_++;
-    last_heartbeat_[id] = clock_();
-    return id;
-}
-
-void
-FleetScheduler::heartbeat(WorkerId worker)
-{
-    std::scoped_lock lock(mutex_);
-    last_heartbeat_[worker] = clock_();
+    return next_worker_++;
 }
 
 WorkerId
@@ -153,8 +126,7 @@ FleetScheduler::acquireSplit(WorkerId worker,
                              const dpp::WorkerLoad &load)
 {
     std::scoped_lock lock(mutex_);
-    double now = clock_();
-    last_heartbeat_[worker] = now; // asking for work is proof of life
+    double now = pool_->now();
 
     struct Cand
     {
@@ -252,16 +224,21 @@ FleetScheduler::acquireSplit(WorkerId worker,
 }
 
 void
-FleetScheduler::completeSplit(WorkerId worker, TenantId tenant,
-                              uint64_t split_id)
+FleetScheduler::reportSplit(SplitReport report, WorkerId worker,
+                            TenantId tenant, uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
     auto it = tenants_.find(tenant);
     if (it == tenants_.end())
         return;
     TenantState &st = *it->second;
-    st.master->completeSplit(masterIdLocked(st, worker), split_id);
-    grants_.erase({tenant, split_id});
+    dpp::WorkSource &master = *st.master;
+    (master.*report)(masterIdLocked(st, worker), tenant, split_id);
+    // A zombie's late report (its split was reaped by a deadline and
+    // re-granted) must not erase the new holder's grant.
+    auto grant = grants_.find({tenant, split_id});
+    if (grant != grants_.end() && grant->second == worker)
+        grants_.erase(grant);
     // The tenant's lifetime span closes with its last split.
     if (st.span != trace::kNoSpan && st.master->progress().done()) {
         trace::endSpan(st.span, trace::spans::kFleetTenant);
@@ -270,90 +247,67 @@ FleetScheduler::completeSplit(WorkerId worker, TenantId tenant,
 }
 
 void
+FleetScheduler::completeSplit(WorkerId worker, TenantId tenant,
+                              uint64_t split_id)
+{
+    reportSplit(&dpp::WorkSource::completeSplit, worker, tenant,
+                split_id);
+}
+
+void
 FleetScheduler::failSplit(WorkerId worker, TenantId tenant,
                           uint64_t split_id)
 {
-    std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end())
-        return;
-    TenantState &st = *it->second;
-    st.master->failSplit(masterIdLocked(st, worker), split_id);
-    grants_.erase({tenant, split_id});
+    reportSplit(&dpp::WorkSource::failSplit, worker, tenant, split_id);
 }
 
 void
 FleetScheduler::releaseSplit(WorkerId worker, TenantId tenant,
                              uint64_t split_id)
 {
+    reportSplit(&dpp::WorkSource::releaseSplit, worker, tenant,
+                split_id);
+}
+
+void
+FleetScheduler::failWorker(WorkerId worker)
+{
     std::scoped_lock lock(mutex_);
+    // Requeue everything the dead worker held, on every tenant Master
+    // it ever served (failWorker is a no-op where it held nothing).
+    for (auto &[id, st] : tenants_) {
+        auto mi = st->master_ids.find(worker);
+        if (mi != st->master_ids.end())
+            st->master->failWorker(mi->second);
+    }
+    for (auto it = grants_.begin(); it != grants_.end();)
+        it = it->second == worker ? grants_.erase(it) : std::next(it);
+}
+
+const FleetScheduler::TenantState &
+FleetScheduler::tenantLocked(TenantId tenant) const
+{
     auto it = tenants_.find(tenant);
-    if (it == tenants_.end())
-        return;
-    TenantState &st = *it->second;
-    st.master->releaseSplit(masterIdLocked(st, worker), split_id);
-    grants_.erase({tenant, split_id});
+    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
+    return *it->second;
 }
 
 const dpp::SessionSpec &
 FleetScheduler::tenantSpec(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return it->second->master->spec();
+    return tenantLocked(tenant).master->spec();
 }
 
 const dwrf::Buffer &
 FleetScheduler::tenantProgram(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return it->second->master->transformProgram();
+    return tenantLocked(tenant).master->transformProgram();
 }
 
 // ---------------------------------------------------------------------
-// Pool management (driver thread only).
-
-void
-FleetScheduler::launchWorker()
-{
-    // Worker construction registers with the fleet (takes the fleet
-    // lock) — never call this while holding mutex_.
-    workers_.push_back(std::make_unique<dpp::Worker>(
-        *this, warehouse_, options_.worker));
-    if (running_parallel_)
-        workers_.back()->start();
-    {
-        std::scoped_lock lock(mutex_);
-        ++workers_launched_;
-    }
-    metrics_.inc("fleet.workers_launched");
-}
-
-void
-FleetScheduler::replaceWorkerAt(size_t i)
-{
-    dsi_assert(i < workers_.size(), "no worker at index %zu", i);
-    workers_[i]->stop();
-    retired_metrics_.merge(workers_[i]->metrics());
-    {
-        std::scoped_lock lock(mutex_);
-        last_heartbeat_.erase(workers_[i]->id());
-        ++worker_failures_;
-    }
-    metrics_.inc("fleet.worker_replacements");
-    // The replacement worker is a fresh process, but the dead worker's
-    // requeued splits are not re-extracted from scratch: each tenant
-    // Master re-grants them with resume_stripe set past its
-    // delivered-stripe watermark, so the replacement reads only the
-    // undelivered tail of each split.
-    workers_[i] = std::make_unique<dpp::Worker>(*this, warehouse_,
-                                                options_.worker);
-    if (running_parallel_)
-        workers_[i]->start();
-}
+// Housekeeping (the ticking thread only).
 
 bool
 FleetScheduler::workerHoldsGrantsLocked(WorkerId worker) const
@@ -364,109 +318,18 @@ FleetScheduler::workerHoldsGrantsLocked(WorkerId worker) const
     return false;
 }
 
-void
-FleetScheduler::failWorkerLocked(WorkerId worker)
-{
-    // Requeue everything the dead worker held, on every tenant Master
-    // it ever served (failWorker is a no-op where it held nothing).
-    for (auto &[id, st] : tenants_) {
-        auto mi = st->master_ids.find(worker);
-        if (mi != st->master_ids.end())
-            st->master->failWorker(mi->second);
-    }
-    for (auto it = grants_.begin(); it != grants_.end();)
-        it = it->second == worker ? grants_.erase(it) : std::next(it);
-    metrics_.inc("fleet.lease_expirations");
-}
-
-bool
-FleetScheduler::expireFleetLeases()
-{
-    if (options_.lease_timeout <= 0)
-        return false;
-    std::vector<size_t> dead;
-    {
-        std::scoped_lock lock(mutex_);
-        double now = clock_();
-        for (size_t i = 0; i < workers_.size(); ++i) {
-            WorkerId id = workers_[i]->id();
-            // Idle workers are never expired — nothing to recover.
-            if (!workerHoldsGrantsLocked(id))
-                continue;
-            auto hb = last_heartbeat_.find(id);
-            if (hb != last_heartbeat_.end() &&
-                now - hb->second > options_.lease_timeout)
-                dead.push_back(i);
-        }
-        for (size_t i : dead)
-            failWorkerLocked(workers_[i]->id());
-    }
-    for (size_t i : dead)
-        replaceWorkerAt(i);
-    return !dead.empty();
-}
-
-bool
-FleetScheduler::replaceCrashedWorkers()
-{
-    bool replaced = false;
-    for (size_t i = 0; i < workers_.size(); ++i) {
-        if (!workers_[i]->crashed())
-            continue;
-        {
-            std::scoped_lock lock(mutex_);
-            // A crashed worker still holding grants waits for lease
-            // expiry (its splits must requeue before it is recycled);
-            // without a lease, recycle it here.
-            if (workerHoldsGrantsLocked(workers_[i]->id())) {
-                if (options_.lease_timeout > 0)
-                    continue;
-                failWorkerLocked(workers_[i]->id());
-            }
-        }
-        replaceWorkerAt(i);
-        replaced = true;
-    }
-    return replaced;
-}
-
-bool
-FleetScheduler::retireDrainedWorkers()
-{
-    bool removed = false;
-    for (size_t i = 0; i < workers_.size();) {
-        if (workers_[i]->draining() && workers_[i]->drained() &&
-            workers_.size() > 1) {
-            retired_metrics_.merge(workers_[i]->metrics());
-            workers_[i]->stop();
-            {
-                std::scoped_lock lock(mutex_);
-                last_heartbeat_.erase(workers_[i]->id());
-                ++workers_drained_;
-            }
-            workers_.erase(workers_.begin() +
-                           static_cast<ptrdiff_t>(i));
-            removed = true;
-        } else {
-            ++i;
-        }
-    }
-    return removed;
-}
-
 bool
 FleetScheduler::maybePreempt()
 {
     if (!options_.preemption)
         return false;
-    size_t victim_idx = SIZE_MAX;
+    dpp::Worker *victim = nullptr;
     TenantId victim_tenant = 0;
-    WorkerId victim_id = 0;
     {
         std::scoped_lock lock(mutex_);
         // Idle capacity present: the starved tenant's reservation will
         // be honored by a natural grant; preempting would only thrash.
-        for (auto &w : workers_)
+        for (const auto &w : pool_->workers())
             if (!w->crashed() && !w->draining() &&
                 !workerHoldsGrantsLocked(w->id()))
                 return false;
@@ -494,23 +357,20 @@ FleetScheduler::maybePreempt()
             const TenantState &vt = *tenants_.at(key.first);
             if (vt.opts.job_class >= starved->opts.job_class)
                 continue;
-            if (victim_idx != SIZE_MAX &&
-                vt.opts.job_class >= victim_class)
+            if (victim && vt.opts.job_class >= victim_class)
                 continue;
-            for (size_t i = 0; i < workers_.size(); ++i) {
-                if (workers_[i]->id() != wid)
+            for (const auto &w : pool_->workers()) {
+                if (w->id() != wid)
                     continue;
-                if (!workers_[i]->draining() &&
-                    !workers_[i]->crashed()) {
-                    victim_idx = i;
+                if (!w->draining() && !w->crashed()) {
+                    victim = w.get();
                     victim_tenant = key.first;
-                    victim_id = wid;
                     victim_class = vt.opts.job_class;
                 }
                 break;
             }
         }
-        if (victim_idx == SIZE_MAX)
+        if (!victim)
             return false;
         ++tenants_.at(victim_tenant)->preempted;
         metrics_.inc(tenantMetric(victim_tenant, "preempted"));
@@ -522,66 +382,18 @@ FleetScheduler::maybePreempt()
     // deliver and the tenant ledger dedupes replay overlap), then
     // retires. The replacement's first polls land on the starved
     // tenant via the quota pass.
-    workers_[victim_idx]->beginDrain(/*release_held=*/true);
+    victim->beginDrain(/*release_held=*/true);
     trace::instant(trace::events::kFleetPreempt, trace::kNoSpan,
-                   victim_tenant, victim_id);
-    launchWorker();
+                   victim_tenant, victim->id());
+    pool_->launch();
     return true;
-}
-
-void
-FleetScheduler::maybeAutoscale()
-{
-    if (!scaler_)
-        return;
-    double now = clock_();
-    double dt = now - last_eval_;
-    if (dt < options_.autoscale.interval_s)
-        return;
-    last_eval_ = now;
-
-    std::vector<dpp::WorkerReport> reports;
-    double supplied = 0.0;
-    for (auto &w : workers_) {
-        supplied += w->metrics().counter("worker.tensors");
-        if (!w->draining() && !w->crashed())
-            reports.push_back(w->report());
-    }
-    uint64_t delivered;
-    {
-        std::scoped_lock lock(mutex_);
-        delivered = tensors_delivered_;
-    }
-    double demand_rate = (static_cast<double>(delivered) -
-                          static_cast<double>(last_delivered_)) /
-                         dt;
-    double supply_rate =
-        std::max(0.0, (supplied - last_supplied_) / dt);
-    last_delivered_ = delivered;
-    last_supplied_ = supplied;
-    auto decision =
-        scaler_->evaluate(reports, demand_rate, supply_rate);
-
-    if (decision.delta > 0) {
-        for (int64_t i = 0; i < decision.delta; ++i)
-            launchWorker();
-    } else if (decision.delta < 0) {
-        int64_t to_drain = -decision.delta;
-        for (auto it = workers_.rbegin();
-             it != workers_.rend() && to_drain > 0; ++it) {
-            if ((*it)->draining() || (*it)->crashed())
-                continue;
-            (*it)->beginDrain();
-            --to_drain;
-        }
-    }
 }
 
 uint64_t
 FleetScheduler::drainOnce(const TensorSink &sink)
 {
     uint64_t delivered = 0;
-    for (auto &w : workers_) {
+    for (const auto &w : pool_->workers()) {
         // popTensor routes completion back through the fleet (it
         // locks mutex_ internally) — never hold the lock across it.
         while (auto t = w->popTensor()) {
@@ -631,10 +443,7 @@ void
 FleetScheduler::setClock(std::function<double()> clock)
 {
     std::scoped_lock lock(mutex_);
-    clock_ = std::move(clock);
-    last_eval_ = clock_();
-    for (auto &hb : last_heartbeat_)
-        hb.second = last_eval_;
+    pool_->setClock(std::move(clock));
 }
 
 bool
@@ -648,24 +457,23 @@ FleetScheduler::finished() const
             if (!st->master->progress().done())
                 return false;
     }
-    for (const auto &w : workers_)
-        if (!w->drained())
-            return false;
-    return true;
+    return pool_->drained();
 }
 
 bool
 FleetScheduler::tick(const TensorSink &sink)
 {
-    if (!parallel_) {
-        for (auto &w : workers_)
-            w->pump();
+    pool_->pump();
+    uint64_t delivered;
+    {
+        // Split budgets apply to every tenant: requeue blown ones.
+        std::scoped_lock lock(mutex_);
+        for (auto &[id, st] : tenants_)
+            st->master->expireDeadlines();
+        delivered = tensors_delivered_;
     }
-    expireFleetLeases();
-    replaceCrashedWorkers();
-    retireDrainedWorkers();
+    pool_->maintain(delivered);
     maybePreempt();
-    maybeAutoscale();
     drainOnce(sink);
     if (options_.recovery.cluster != nullptr) {
         // Periodic checkpoint cadence, one tenant journal at a time
@@ -686,19 +494,13 @@ FleetScheduler::run(TensorSink sink)
         trace::TraceLog::instance().clear();
         trace::TraceLog::instance().enable();
     }
-    if (parallel_) {
-        running_parallel_ = true;
-        for (auto &w : workers_)
-            w->start();
-    }
+    pool_->start();
     while (!finished()) {
         tick(sink);
-        if (parallel_)
+        if (pool_->parallel())
             std::this_thread::yield();
     }
-    running_parallel_ = false;
-    for (auto &w : workers_)
-        w->stop();
+    pool_->stop();
 
     FleetResult r;
     {
@@ -713,9 +515,9 @@ FleetScheduler::run(TensorSink sink)
         }
         r.tensors_delivered = tensors_delivered_;
         r.rows_delivered = rows_delivered_;
-        r.worker_failures = worker_failures_;
-        r.workers_launched = workers_launched_;
-        r.workers_drained = workers_drained_;
+        r.worker_failures = pool_->failures();
+        r.workers_launched = pool_->launched();
+        r.workers_drained = pool_->retired();
         r.preemptions = preemptions_;
     }
     if (tracing) {
@@ -754,18 +556,14 @@ dpp::SessionProgress
 FleetScheduler::tenantProgress(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return it->second->master->progress();
+    return tenantLocked(tenant).master->progress();
 }
 
 TenantStats
 FleetScheduler::tenantStats(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return tenantStatsLocked(*it->second);
+    return tenantStatsLocked(tenantLocked(tenant));
 }
 
 size_t
@@ -780,14 +578,12 @@ FleetScheduler::collectMetrics() const
 {
     Metrics merged;
     merged.merge(metrics_);
-    merged.merge(retired_metrics_);
+    merged.merge(pool_->collectMetrics());
     {
         std::scoped_lock lock(mutex_);
         for (const auto &[id, st] : tenants_)
             merged.merge(st->master->metrics());
     }
-    for (const auto &w : workers_)
-        merged.merge(w->metrics());
     if (options_.self_heal.cluster)
         merged.merge(options_.self_heal.cluster->metrics());
     return merged;

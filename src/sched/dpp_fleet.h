@@ -8,8 +8,9 @@
  * exploratory ones. FleetScheduler is that control plane in miniature:
  * it multiplexes many concurrent sessions — each with its own Master,
  * exactly-once DeliveryLedger, and transform program — over a single
- * shared, auto-scaled Worker pool, behind the same WorkSource
- * interface a single-session Master implements.
+ * shared, auto-scaled dpp::WorkerPool (the same pool manager an
+ * InProcessSession uses), behind the same WorkSource interface a
+ * single-session Master implements.
  *
  * Scheduling policy (per acquireSplit call, two passes):
  *
@@ -35,14 +36,16 @@
  * replay overlap), and launches a replacement worker whose first polls
  * the quota pass routes to the starved tenant.
  *
- * **Fault tolerance.** The fleet runs its own heartbeat leases (every
- * acquireSplit / popTensor renews): a silent worker holding grants is
- * declared dead, failWorker() requeues its splits on every tenant
- * Master it served, and a replacement joins the pool — the replacement
- * is a fresh process, but the requeued splits carry each Master's
- * delivered-stripe watermark, so it re-extracts only undelivered
- * tails. Exactly-once delivery is preserved per tenant by each
- * tenant's DeliveryLedger.
+ * **Fault tolerance.** The pool's heartbeat lease (on the fleet's
+ * injectable clock) declares a silent worker holding splits dead, and
+ * a crashed worker is recycled; either way the pool calls the fleet's
+ * failWorker(), which requeues the worker's splits on every tenant
+ * Master it served, and a replacement joins the pool — the
+ * replacement is a fresh process, but the requeued splits carry each
+ * Master's delivered-stripe watermark, so it re-extracts only
+ * undelivered tails. Every tick also reaps blown split deadlines on
+ * every tenant Master. Exactly-once delivery is preserved per tenant
+ * by each tenant's DeliveryLedger.
  *
  * **Whole-fleet recovery.** With FleetOptions::recovery attached,
  * every tenant Master journals durable checkpoints (its state + its
@@ -64,14 +67,15 @@
  *
  * Thread safety: the WorkSource surface accepts concurrent calls from
  * every worker thread (guarded by one fleet mutex; lock order is
- * always fleet -> master, never the reverse). The pool-management /
- * driver surface (tick, run, addTenant, workerAt) is single-threaded:
- * exactly one driver thread, the same one that constructed the fleet.
+ * always fleet -> master, never the reverse). The pool-management
+ * surface (tick, run, addTenant) is single-threaded: exactly one
+ * thread, the same one that constructed the fleet.
  */
 
 #ifndef DSI_SCHED_DPP_FLEET_H
 #define DSI_SCHED_DPP_FLEET_H
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -81,11 +85,11 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "dpp/autoscaler.h"
 #include "dpp/client.h"
 #include "dpp/master.h"
 #include "dpp/session.h"
 #include "dpp/worker.h"
+#include "dpp/worker_pool.h"
 
 namespace dsi::sched {
 
@@ -123,14 +127,6 @@ struct TenantOptions
     uint32_t max_inflight = 0;
 };
 
-/** Fleet-wide pool auto-scaling knobs (same controller as sessions). */
-struct FleetAutoScaleOptions
-{
-    bool enabled = false;
-    dpp::AutoScalerConfig scaler;
-    double interval_s = 0.02; ///< clock seconds between evaluations
-};
-
 /** Fleet configuration. */
 struct FleetOptions
 {
@@ -138,24 +134,25 @@ struct FleetOptions
     dpp::WorkerOptions worker;
 
     /**
-     * Fleet heartbeat lease (seconds; 0 disables): a worker holding
-     * grants that has not called in within the budget is declared
-     * dead, its splits requeue on every tenant it served, and a
-     * stateless replacement joins the pool.
+     * Pool heartbeat lease (seconds; 0 disables): a worker holding
+     * splits whose beats stop for longer is declared dead, its splits
+     * requeue on every tenant it served, and a stateless replacement
+     * joins the pool.
      */
     double lease_timeout = 0.0;
 
     /** Attempts a split gets before its Master marks it failed. */
     uint32_t max_split_attempts = 3;
 
-    /** Admission control applied to every tenant Master. */
+    /** Admission control applied to every tenant Master (split
+     * deadlines are reaped on each tick). */
     dpp::AdmissionOptions admission;
 
     /** Class-priority preemption of over-share workers (see file doc). */
     bool preemption = true;
 
     /** Shared-pool auto-scaling (off by default). */
-    FleetAutoScaleOptions autoscale;
+    dpp::AutoScaleOptions autoscale;
 
     /** Pipeline-wide span tracing for run() (off by default). */
     bool trace = false;
@@ -243,7 +240,7 @@ class FleetScheduler : public dpp::WorkSource
                    uint64_t split_id) override;
     void releaseSplit(WorkerId worker, TenantId tenant,
                       uint64_t split_id) override;
-    void heartbeat(WorkerId worker) override;
+    void failWorker(WorkerId worker) override;
     const dpp::SessionSpec &tenantSpec(TenantId tenant) const override;
     const dwrf::Buffer &tenantProgram(TenantId tenant) const override;
 
@@ -251,8 +248,8 @@ class FleetScheduler : public dpp::WorkSource
 
     /**
      * One cooperative scheduling round: pump every worker (sync mode),
-     * run housekeeping (leases, crash replacement, retirement,
-     * preemption, auto-scaling), and drain delivered tensors through
+     * run housekeeping (split deadlines, the pool's maintenance pass,
+     * preemption), and drain delivered tensors through
      * the per-tenant ledgers into `sink`. Returns false once close()d,
      * every tenant is done, and every worker drained. Benches drive
      * tick() directly so they can admit tenants between rounds.
@@ -276,14 +273,19 @@ class FleetScheduler : public dpp::WorkSource
     TenantStats tenantStats(TenantId tenant) const;
     size_t tenantCount() const;
 
-    size_t workerCount() const { return workers_.size(); }
-    dpp::Worker &workerAt(size_t i) { return *workers_.at(i); }
+    size_t workerCount() const { return pool_->size(); }
+
+    /** Recent scaling evaluations of the pool's controller (bounded). */
+    const std::deque<dpp::ScalingEvent> &scalingLog() const
+    {
+        return pool_->scalingLog();
+    }
 
     /** Fleet-level registry (fleet.tenant.<id>.granted/shed/preempted,
-     * fleet.preemptions, fleet.workers_launched, ...). */
+     * fleet.preemptions, ...). Pool counters live in collectMetrics. */
     const Metrics &metrics() const { return metrics_; }
 
-    /** Fleet + every Master + every live worker, merged. */
+    /** Fleet + every Master + the pool (retired workers included). */
     Metrics collectMetrics() const;
 
     /** The trace collected by the last run() (with options.trace). */
@@ -316,56 +318,42 @@ class FleetScheduler : public dpp::WorkSource
 
     /** Register `worker` with the tenant's Master on first contact. */
     WorkerId masterIdLocked(TenantState &st, WorkerId worker);
-    /** Requeue every split `worker` holds, on every tenant Master. */
-    void failWorkerLocked(WorkerId worker);
+    const TenantState &tenantLocked(TenantId tenant) const;
+    using SplitReport = void (dpp::WorkSource::*)(WorkerId, TenantId,
+                                                  uint64_t);
+    /** Route a worker's split report to its tenant's Master and
+     * forget the grant. */
+    void reportSplit(SplitReport report, WorkerId worker,
+                     TenantId tenant, uint64_t split_id);
     bool workerHoldsGrantsLocked(WorkerId worker) const;
     TenantStats tenantStatsLocked(const TenantState &st) const;
-    void launchWorker();
-    void replaceWorkerAt(size_t i);
 
     // Housekeeping (driver thread).
-    bool expireFleetLeases();
-    bool replaceCrashedWorkers();
-    bool retireDrainedWorkers();
     bool maybePreempt();
-    void maybeAutoscale();
     uint64_t drainOnce(const TensorSink &sink);
 
     const warehouse::Warehouse &warehouse_;
     FleetOptions options_;
-    bool parallel_ = false;
-    bool running_parallel_ = false;
 
     mutable std::mutex mutex_; ///< guards all scheduler state below
     std::map<TenantId, std::unique_ptr<TenantState>> tenants_;
     TenantId next_tenant_ = 0;
     WorkerId next_worker_ = 0;
-    std::map<WorkerId, double> last_heartbeat_;
     /** (tenant, split) -> holding fleet worker, for victim selection
-     * and lease recovery. */
+     * and failWorker recovery. */
     std::map<std::pair<TenantId, uint64_t>, WorkerId> grants_;
     bool closed_ = false;
     uint64_t tensors_delivered_ = 0;
     uint64_t rows_delivered_ = 0;
-    uint64_t worker_failures_ = 0;
-    uint64_t workers_launched_ = 0;
-    uint64_t workers_drained_ = 0;
     uint64_t preemptions_ = 0;
     Metrics metrics_;
 
-    std::function<double()> clock_;
-
-    // Pool state: driver thread only (never touched by worker threads;
-    // workers reach the fleet exclusively through the WorkSource
-    // surface above).
-    std::vector<std::unique_ptr<dpp::Worker>> workers_;
-    /** Metrics of replaced / retired workers, folded at removal so
-     * collectMetrics() still accounts for their work. */
-    Metrics retired_metrics_;
-    std::unique_ptr<dpp::AutoScaler> scaler_;
-    double last_eval_ = 0.0;
-    uint64_t last_delivered_ = 0;
-    double last_supplied_ = 0.0;
+    /**
+     * The shared pool (ticking thread only: workers reach the fleet
+     * exclusively through the WorkSource surface above). Its clock is
+     * the fleet's clock; acquireSplit reads it under mutex_.
+     */
+    std::unique_ptr<dpp::WorkerPool> pool_;
     std::vector<trace::TraceEvent> trace_events_;
 };
 

@@ -109,6 +109,32 @@ class ChaosTest : public ::testing::Test
 
     ~ChaosTest() override { FaultInjector::instance().reset(); }
 
+    /**
+     * With leases off, a crashed worker never lets go of its split by
+     * itself: the pool must recycle it (fail the split back to the
+     * Master and start a replacement) or the session never finishes.
+     */
+    void crashWithoutLeaseFinishes(uint32_t threads)
+    {
+        SessionOptions so;
+        so.workers = 2;
+        so.clients = 1;
+        so.lease_timeout = 0.0;
+        so.worker.num_extract_threads = threads;
+        so.worker.num_transform_threads = threads;
+        InProcessSession session(*mw_.warehouse, chaosSpec(mw_), so);
+
+        ScopedFault crash(faults::kWorkerCrash,
+                          FaultSpec{.trigger_hit = 6});
+        DeliveryLog log;
+        auto result = session.run(log.sink());
+
+        EXPECT_GE(result.worker_failures, 1u);
+        EXPECT_EQ(result.splits_failed, 0u);
+        log.expectExactlyOnce(kTotalRows);
+        EXPECT_EQ(result.rows_delivered, kTotalRows);
+    }
+
     testing::MiniWarehouse mw_;
 };
 
@@ -121,8 +147,8 @@ TEST_F(ChaosTest, WorkerCrashMidSplitRecoversExactlyOnce)
     InProcessSession session(*mw_.warehouse, chaosSpec(mw_), so);
 
     // The 6th crash-point hit (checked per stripe, split in hand)
-    // kills a worker mid-split. Its lease expires (it no longer
-    // heartbeats), the Master requeues its splits, and the session
+    // kills a worker mid-split. Its pool lease expires (it no longer
+    // beats), the Master requeues its splits, and the session
     // starts a stateless replacement. Armed after construction so the
     // Master's split enumeration is not in scope.
     ScopedFault crash(faults::kWorkerCrash, FaultSpec{.trigger_hit = 6});
@@ -133,9 +159,18 @@ TEST_F(ChaosTest, WorkerCrashMidSplitRecoversExactlyOnce)
     EXPECT_EQ(result.splits_failed, 0u);
     log.expectExactlyOnce(kTotalRows);
     EXPECT_EQ(result.rows_delivered, kTotalRows);
-    EXPECT_GE(
-        session.master().metrics().counter("master.leases_expired"),
-        1.0);
+    EXPECT_GE(session.collectMetrics().counter("pool.leases_expired"),
+              1.0);
+}
+
+TEST_F(ChaosTest, WorkerCrashWithoutLeaseIsRecycledSynchronous)
+{
+    crashWithoutLeaseFinishes(0);
+}
+
+TEST_F(ChaosTest, WorkerCrashWithoutLeaseIsRecycledThreaded)
+{
+    crashWithoutLeaseFinishes(1);
 }
 
 TEST_F(ChaosTest, CorruptChunkIsCaughtAndRetried)

@@ -6,8 +6,9 @@
  * counts, reserved-quota priority for RC tenants (grant-latency SLO
  * under an explore flood), class-priority preemption with graceful
  * handback, exactly-once delivery per tenant under injected worker
- * crashes, tenant-labeled trace lineage, metrics-doc drift, and
- * shared-pool auto-scaling.
+ * crashes and blown split deadlines, tenant-labeled trace lineage,
+ * metrics-doc drift, and shared-pool auto-scaling (replayed through a
+ * fresh policy).
  */
 
 #include <gtest/gtest.h>
@@ -300,7 +301,7 @@ TEST_F(FleetTest, RcStarvationPreemptsLowerClassWorker)
     log.expectExactlyOnce(r, kRowsOne);
     auto merged = fleet.collectMetrics();
     EXPECT_GE(merged.counter("worker.splits_preempted"), 1.0);
-    EXPECT_GE(merged.counter("fleet.workers_launched"), 3.0);
+    EXPECT_GE(merged.counter("pool.workers_launched"), 3.0);
 }
 
 // ---------------------------------------------------------------------
@@ -352,9 +353,41 @@ TEST_F(FleetTest, WorkerCrashPreservesExactlyOncePerTenant)
         EXPECT_TRUE(s.done) << s.name;
         EXPECT_EQ(s.splits_failed, 0u) << s.name;
     }
-    EXPECT_GE(fleet.metrics().counter("fleet.lease_expirations"), 1.0);
-    EXPECT_GE(fleet.metrics().counter("fleet.worker_replacements"),
+    auto merged = fleet.collectMetrics();
+    EXPECT_GE(merged.counter("pool.leases_expired"), 1.0);
+    EXPECT_GE(merged.counter("pool.worker_replacements"), 1.0);
+}
+
+TEST_F(FleetTest, TicksReapBlownSplitDeadlinesOnEveryTenant)
+{
+    // Admission applies to every tenant Master, deadline reaping
+    // included: the first two storage reads stall past the split
+    // budget, and the fleet's ticks requeue those splits at their
+    // Masters while the stalled workers are still inside the read.
+    FleetOptions fo;
+    fo.initial_workers = 2;
+    fo.admission.split_deadline_s = 0.2;
+    fo.worker.num_extract_threads = 1;
+    fo.worker.num_transform_threads = 1;
+    FleetScheduler fleet(*mw_.warehouse, fo);
+    TenantOptions a;
+    a.name = "a";
+    TenantOptions b;
+    b.name = "b";
+    TenantId t0 = fleet.addTenant(tenantSpec(mw_, {0}, 1024), a);
+    TenantId t1 = fleet.addTenant(tenantSpec(mw_, {1}, 1024), b);
+
+    ScopedFault slow(faults::kTectonicReadDelay,
+                     FaultSpec{.max_fires = 2, .latency_seconds = 0.6});
+    TenantLog log;
+    fleet.run(log.sink());
+
+    log.expectExactlyOnce(t0, kRowsOne);
+    log.expectExactlyOnce(t1, kRowsOne);
+    EXPECT_GE(fleet.collectMetrics().counter("master.deadline_expired"),
               1.0);
+    for (TenantId id : {t0, t1})
+        EXPECT_EQ(fleet.tenantStats(id).splits_failed, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -520,13 +553,27 @@ TEST_F(FleetTest, StarvedPoolAutoscalesUpToCap)
     }
     EXPECT_GE(peak, 2u);
     EXPECT_LE(fleet.workerCount(), 4u);
-    EXPECT_GE(fleet.metrics().counter("fleet.workers_launched"), 2.0);
+    EXPECT_GE(fleet.collectMetrics().counter("pool.workers_launched"),
+              2.0);
 
     fleet.close();
     while (fleet.tick(log.sink())) {
         now += 0.02;
     }
     log.expectExactlyOnce(e, kRowsBoth);
+
+    // Anti-drift, as for sessions (dpp_overload_test): the exact
+    // WorkerReport stream the pool saw, replayed through a fresh
+    // AutoScaler, yields identical decisions.
+    ASSERT_FALSE(fleet.scalingLog().empty());
+    dpp::AutoScaler replay(fo.autoscale.scaler);
+    for (const auto &ev : fleet.scalingLog()) {
+        auto d = replay.evaluate(ev.reports, ev.demand_rate,
+                                 ev.supply_rate);
+        EXPECT_EQ(d.target_workers, ev.decision.target_workers);
+        EXPECT_EQ(d.delta, ev.decision.delta);
+        EXPECT_EQ(d.starving, ev.decision.starving);
+    }
 }
 
 } // namespace
