@@ -142,6 +142,76 @@ PercentileSampler::percentile(double p) const
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
+size_t
+LogLinearHistogram::bucketOf(double x)
+{
+    if (!(x >= kLowest)) // zero, negative, sub-resolution, NaN
+        return 0;
+    if (x >= kHighest)
+        return kBuckets - 1;
+    // x / kLowest = m * 2^exp with m in [0.5, 1); the scaling by a
+    // power of two is exact, so bucket edges are exact too.
+    int exp = 0;
+    double m = std::frexp(x / kLowest, &exp);
+    auto octave = static_cast<size_t>(exp - 1);
+    auto sub = static_cast<size_t>((2.0 * m - 1.0) * kSubBuckets);
+    return 1 + octave * kSubBuckets + sub;
+}
+
+double
+LogLinearHistogram::upperEdge(size_t bucket)
+{
+    if (bucket == 0)
+        return kLowest;
+    size_t octave = (bucket - 1) / kSubBuckets;
+    size_t sub = (bucket - 1) % kSubBuckets;
+    return std::ldexp(kLowest * (1.0 + static_cast<double>(sub + 1) /
+                                           kSubBuckets),
+                      static_cast<int>(octave));
+}
+
+void
+LogLinearHistogram::add(double x)
+{
+    counts_[bucketOf(x)].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+}
+
+double
+LogLinearHistogram::percentile(double p) const
+{
+    dsi_assert(p >= 0.0 && p <= 100.0, "percentile out of range: %f", p);
+    // Snapshot first, so concurrent add()s cannot move the ranks
+    // mid-scan.
+    std::array<uint64_t, kBuckets> snap{};
+    uint64_t n = 0;
+    for (size_t i = 0; i < kBuckets; ++i) {
+        snap[i] = counts_[i].load(std::memory_order_relaxed);
+        n += snap[i];
+    }
+    if (n == 0)
+        return 0.0;
+    // The closest ranks PercentileSampler interpolates between, each
+    // replaced by its bucket's upper edge.
+    double rank = p / 100.0 * static_cast<double>(n - 1);
+    auto lo = static_cast<uint64_t>(rank);
+    uint64_t hi = std::min(lo + 1, n - 1);
+    double frac = rank - static_cast<double>(lo);
+    double lo_edge = 0.0;
+    double hi_edge = 0.0;
+    uint64_t seen = 0;
+    for (size_t i = 0; i < kBuckets; ++i) {
+        if (seen <= lo && seen + snap[i] > lo)
+            lo_edge = upperEdge(i);
+        seen += snap[i];
+        if (seen > hi) {
+            hi_edge = upperEdge(i);
+            break;
+        }
+    }
+    return lo_edge * (1.0 - frac) + hi_edge * frac;
+}
+
 void
 LogHistogram::add(double x, uint64_t weight)
 {

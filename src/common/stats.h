@@ -1,7 +1,8 @@
 /**
  * @file
  * Statistics utilities: running moments, exact percentile samples,
- * logarithmic histograms, and CDF construction.
+ * logarithmic histograms, a fixed-size log-linear latency histogram,
+ * and CDF construction.
  *
  * The paper reports results as means/stds with percentiles (Table VI),
  * CDFs (Fig. 7), and utilization time series (Figs. 8, 9); these types
@@ -11,6 +12,8 @@
 #ifndef DSI_COMMON_STATS_H
 #define DSI_COMMON_STATS_H
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -92,6 +95,59 @@ class PercentileSampler
     mutable std::mutex mutex_; ///< guards samples_ and dirty_
     mutable std::vector<double> samples_;
     mutable bool dirty_ = false;
+};
+
+/**
+ * Fixed-size log-linear histogram of non-negative values (latencies in
+ * seconds), in the style of HdrHistogram and DDSketch, for live paths
+ * that must not slow down as the process ages.
+ *
+ * Layout: one catch-all bucket for values below kLowest (zero,
+ * negatives and sub-resolution values), then kOctaves octaves
+ * [kLowest * 2^k, kLowest * 2^(k+1)), each cut into kSubBuckets
+ * linear sub-buckets. Values at or past kHighest are clamped into the
+ * last bucket.
+ *
+ * Error bound: percentile() reports bucket upper edges, interpolated
+ * between closest ranks exactly as PercentileSampler interpolates
+ * samples. For values in [kLowest, kHighest) the answer is never
+ * below the exact percentile and exceeds it by at most 1/kSubBuckets
+ * (6.25%) relative. Below kLowest the answer is at most kLowest
+ * (absolute error); past the top it is clamped to kHighest.
+ *
+ * Memory is a fixed array of counters; add() is lock-free O(1) (two
+ * relaxed atomic increments) and percentile() is one scan of the
+ * buckets. Both are safe to call concurrently: a percentile() racing
+ * add()s reads each bucket once and answers for the adds it saw.
+ */
+class LogLinearHistogram
+{
+  public:
+    static constexpr int kSubBuckets = 16;
+    static constexpr int kOctaves = 24;
+    static constexpr size_t kBuckets = 1 + kOctaves * kSubBuckets;
+    /** Resolution floor: 2^-20 s, about 1 us. A power of two, so the
+     * scaling into octaves is exact. */
+    static constexpr double kLowest = 0x1p-20;
+    /** Top edge (16 s): larger values are clamped to it. */
+    static constexpr double kHighest = kLowest * (1 << kOctaves);
+
+    void add(double x);
+
+    uint64_t count() const
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
+
+    /** p in [0, 100]; 0 when empty. See the class doc for the bound. */
+    double percentile(double p) const;
+
+  private:
+    static size_t bucketOf(double x);
+    static double upperEdge(size_t bucket);
+
+    std::array<std::atomic<uint64_t>, kBuckets> counts_{};
+    std::atomic<uint64_t> count_{0};
 };
 
 /** One bucket of a histogram: [lo, hi) with a count. */

@@ -22,34 +22,9 @@ Worker::Worker(WorkSource &control,
 {
     id_ = control_.registerWorker();
     // The transform program (the "serialized and compiled PyTorch
-    // module") is pulled lazily per tenant on the first grant from
-    // that tenant — a fleet worker cannot know up front which
-    // sessions it will serve. See programFor().
-}
-
-const transforms::TransformGraph &
-Worker::programFor(TenantId tenant)
-{
-    {
-        std::scoped_lock lock(program_mutex_);
-        auto it = programs_.find(tenant);
-        if (it != programs_.end())
-            return it->second;
-    }
-    // Deserialize outside the lock (a compile-heavy tenant must not
-    // stall siblings already cached). Two threads racing on the same
-    // tenant both deserialize; try_emplace keeps exactly one copy.
-    auto graph = transforms::TransformGraph::deserialize(
-        control_.tenantProgram(tenant));
-    dsi_assert(graph.has_value(),
-               "worker %u received malformed transform program "
-               "for tenant %u",
-               id_, tenant);
-    std::scoped_lock lock(program_mutex_);
-    auto [it, inserted] =
-        programs_.try_emplace(tenant, std::move(*graph));
-    (void)inserted;
-    return it->second;
+    // module") is pulled lazily per tenant by each transform lane on
+    // its first stripe from that tenant — a fleet worker cannot know
+    // up front which sessions it will serve. See laneGraph().
 }
 
 Worker::~Worker()
@@ -434,18 +409,47 @@ Worker::finishGrant(HeldSplit &held, SplitEnd end)
     publishPoolMetrics();
 }
 
+transforms::CompiledGraph &
+Worker::laneGraph(TransformLane &lane, TenantId tenant)
+{
+    size_t before = lane.graphs.size();
+    // Only a lane holding another tenant's graph has anything to
+    // prune, so a single-tenant session never takes this branch.
+    if (before > lane.graphs.count(tenant)) {
+        std::scoped_lock lock(progress_mutex_);
+        std::erase_if(lane.graphs, [&](const auto &entry) {
+            TenantId t = entry.first;
+            if (t == tenant)
+                return false;
+            auto it = split_progress_.lower_bound({t, 0});
+            return it == split_progress_.end() || it->first.first != t;
+        });
+        cached_programs_ -= before - lane.graphs.size();
+    }
+    auto &graph = lane.graphs[tenant];
+    if (!graph) {
+        auto program = transforms::TransformGraph::deserialize(
+            control_.tenantProgram(tenant));
+        dsi_assert(program.has_value(),
+                   "worker %u received malformed transform program "
+                   "for tenant %u",
+                   id_, tenant);
+        graph = std::make_unique<transforms::CompiledGraph>(*program);
+        ++cached_programs_;
+    }
+    if (lane.graphs.size() != before)
+        publishPoolMetrics();
+    return *graph;
+}
+
 void
 Worker::transformExtracted(ExtractedStripe &work, TransformLane &lane,
                            bool blocking)
 {
-    auto &graph = lane.graphs[work.tenant];
-    if (!graph) {
-        graph = std::make_unique<transforms::CompiledGraph>(
-            programFor(work.tenant));
-    }
+    auto &graph = laneGraph(lane, work.tenant);
     bool whole = transformStripe(*work.rows, work.tenant, work.split_id,
                                  work.epoch, work.first_row, work.stripe,
-                                 *graph, lane.stats, lane.metrics,
+                                 graph, lane.stats, lane.metrics,
                                  blocking, work.trace);
     // The stripe's columns are no longer needed (mini-batches own
     // copies); recycle the batch so the next extract reuses its heap
@@ -545,6 +549,7 @@ Worker::transformLoop()
             break;
     }
     foldLane(lane);
+    cached_programs_ -= lane.graphs.size(); // they die with the lane
     publishPoolMetrics();
     // Last transformer out marks production finished: drained() can
     // only become true after every pipeline thread has quiesced.
@@ -797,6 +802,8 @@ Worker::publishPoolMetrics()
                  static_cast<double>(stripe_pool_.reused()));
     metrics_.set("worker.stripe_pool_retained_bytes",
                  static_cast<double>(stripe_pool_.retainedBytes()));
+    metrics_.set("worker.cached_programs",
+                 static_cast<double>(cached_programs_.load()));
 }
 
 void

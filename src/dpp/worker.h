@@ -388,7 +388,9 @@ class Worker
      * Per-thread transform state: compiled ops hold per-instance state
      * (e.g. the Sampling counter), so each transform thread — and
      * pump() — compiles its own copy per tenant, and accumulates stats
-     * privately until foldLane().
+     * privately until foldLane(). A lane keeps a tenant's graph only
+     * while the worker tracks one of that tenant's splits (see
+     * laneGraph()).
      */
     struct TransformLane
     {
@@ -404,6 +406,14 @@ class Worker
     /** Gate, then extract the next stripe into `out`. */
     SplitEnd nextStripe(HeldSplit &held, ExtractedStripe &out);
     void finishGrant(HeldSplit &held, SplitEnd end);
+    /**
+     * `tenant`'s compiled graph in `lane`, deserialized from the
+     * control plane on first use. First drops the lane's graphs of
+     * other tenants that no longer have a tracked split, so a resident
+     * fleet worker does not keep every tenant it ever served.
+     */
+    transforms::CompiledGraph &laneGraph(TransformLane &lane,
+                                         TenantId tenant);
     /** Transform one extracted stripe and recycle its batch. */
     void transformExtracted(ExtractedStripe &work, TransformLane &lane,
                             bool blocking);
@@ -451,17 +461,13 @@ class Worker
                        dwrf::ReadStatus *status = nullptr) const;
 
     /**
-     * Publish stripe-pool counters as worker gauges. Called at every
-     * split terminal state (complete, abandon, return) and at crash /
-     * pipeline exit, so the gauges never go stale on failure paths.
+     * Publish stripe-pool counters and the cached-program count as
+     * worker gauges. Called at every split terminal state (complete,
+     * abandon, return), at crash / pipeline exit, and whenever a lane
+     * compiles or drops a graph, so the gauges never go stale on
+     * failure paths.
      */
     void publishPoolMetrics();
-
-    /**
-     * `tenant`'s deserialized transform program, fetched from the
-     * control plane and cached on first use (thread-safe).
-     */
-    const transforms::TransformGraph &programFor(TenantId tenant);
 
     /**
      * Slice a stripe into mini-batch tensors via `graph`, under
@@ -489,12 +495,9 @@ class Worker
     WorkerOptions options_;
     WorkerId id_;
 
-    // Per-tenant transform programs, deserialized lazily on first
-    // grant from that tenant (a fleet worker cannot know its tenants
-    // up front). Map nodes are stable, so references returned by
-    // programFor() stay valid while threads compile private copies.
-    mutable std::mutex program_mutex_;
-    std::map<TenantId, transforms::TransformGraph> programs_;
+    // Compiled graphs held across all transform lanes (the
+    // worker.cached_programs gauge).
+    std::atomic<uint64_t> cached_programs_{0};
 
     // Tensor buffer (the partial-load stage). Guarded by buffer_mutex_.
     mutable std::mutex buffer_mutex_;

@@ -463,6 +463,7 @@ FleetScheduler::finished() const
 bool
 FleetScheduler::tick(const TensorSink &sink)
 {
+    pool_->start(); // parallel mode: once; then a no-op
     pool_->pump();
     uint64_t delivered;
     {
@@ -494,7 +495,6 @@ FleetScheduler::run(TensorSink sink)
         trace::TraceLog::instance().clear();
         trace::TraceLog::instance().enable();
     }
-    pool_->start();
     while (!finished()) {
         tick(sink);
         if (pool_->parallel())

@@ -247,19 +247,21 @@ class FleetScheduler : public dpp::WorkSource
     // --- driver surface (single-threaded) ---
 
     /**
-     * One cooperative scheduling round: pump every worker (sync mode),
-     * run housekeeping (split deadlines, the pool's maintenance pass,
-     * preemption), and drain delivered tensors through
-     * the per-tenant ledgers into `sink`. Returns false once close()d,
-     * every tenant is done, and every worker drained. Benches drive
-     * tick() directly so they can admit tenants between rounds.
+     * One cooperative scheduling round: pump every worker (sync mode;
+     * in parallel mode the first round starts every worker's
+     * pipeline), run housekeeping (split deadlines, the pool's
+     * maintenance pass, preemption), and drain delivered tensors
+     * through the per-tenant ledgers into `sink`. Returns false once
+     * close()d, every tenant is done, and every worker drained.
+     * Benches drive tick() directly so they can admit tenants between
+     * rounds.
      */
     bool tick(const TensorSink &sink = nullptr);
 
     /**
      * Drive the fleet to completion (calls close() if the caller has
-     * not): loops tick() — starting every worker's pipeline first in
-     * parallel mode — until nothing remains, then reports.
+     * not): loops tick() until nothing remains, stops the pipelines,
+     * then reports.
      */
     FleetResult run(TensorSink sink = nullptr);
 

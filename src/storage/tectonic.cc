@@ -136,6 +136,12 @@ TectonicCluster::hedgeDelaySeconds() const
         std::scoped_lock lock(hedge_mutex_);
         h = hedge_;
     }
+    return hedgeDelaySeconds(h);
+}
+
+double
+TectonicCluster::hedgeDelaySeconds(const HedgeOptions &h) const
+{
     if (read_latency_.count() < h.min_samples)
         return h.min_delay_s;
     double p = read_latency_.percentile(h.delay_percentile);
@@ -1164,13 +1170,13 @@ TectonicSource::readChecked(Bytes offset, Bytes len,
     trace::Span span(trace::spans::kStorageRead,
                      trace::currentParent(), offset, len);
     trace::ScopedParent ambient(span.id());
-    bool hedged;
+    HedgeOptions hedge;
     {
         std::scoped_lock lock(cluster_.hedge_mutex_);
-        hedged = cluster_.hedge_.enabled;
+        hedge = cluster_.hedge_;
     }
-    if (hedged)
-        return readHedged(offset, len, out);
+    if (hedge.enabled)
+        return readHedged(offset, len, out, hedge);
     return cluster_.readFileRange(name_, offset, len, out);
 }
 
@@ -1185,8 +1191,8 @@ TectonicSource::reportCorruption(Bytes offset, Bytes len) const
 }
 
 dwrf::IoStatus
-TectonicSource::readHedged(Bytes offset, Bytes len,
-                           dwrf::Buffer &out) const
+TectonicSource::readHedged(Bytes offset, Bytes len, dwrf::Buffer &out,
+                           const HedgeOptions &hedge) const
 {
     struct HedgeState
     {
@@ -1219,7 +1225,7 @@ TectonicSource::readHedged(Bytes offset, Bytes len,
             state->cv.notify_all();
         });
 
-    double delay = cluster_.hedgeDelaySeconds();
+    double delay = cluster_.hedgeDelaySeconds(hedge);
     {
         std::unique_lock lock(state->mutex);
         state->cv.wait_for(lock, std::chrono::duration<double>(delay),

@@ -227,9 +227,10 @@ class TectonicSource : public dwrf::RandomAccessSource
     void clearTrace() override { trace_.clear(); }
 
   private:
-    /** One attempt, optionally hedged with a backup to another replica. */
-    dwrf::IoStatus readHedged(Bytes offset, Bytes len,
-                              dwrf::Buffer &out) const;
+    /** One attempt, hedged with a backup to another replica under
+     * `hedge` (the caller's snapshot of the cluster's options). */
+    dwrf::IoStatus readHedged(Bytes offset, Bytes len, dwrf::Buffer &out,
+                              const HedgeOptions &hedge) const;
 
     const TectonicCluster &cluster_;
     std::string name_;
@@ -428,15 +429,11 @@ class TectonicCluster
     /**
      * Current hedge trigger: p`delay_percentile` of observed read
      * latency (clamped to [min_delay_s, max_delay_s]), or min_delay_s
-     * until min_samples reads have been observed.
+     * until min_samples reads have been observed. The percentile
+     * comes from a fixed-size LogLinearHistogram: never below the
+     * exact value, at most 1/16 above it (before the clamp).
      */
     double hedgeDelaySeconds() const;
-
-    /** Latency distribution of logical read attempts (seconds). */
-    const PercentileSampler &readLatency() const
-    {
-        return read_latency_;
-    }
 
     /** Breaker state of one storage node (tests/observability). */
     CircuitBreaker::State breakerState(NodeId id) const;
@@ -505,12 +502,15 @@ class TectonicCluster
     /**
      * One full logical read attempt of a stored file range: delay
      * fault, byte copy, corruption fault, block fan-out with replica
-     * routing. Latency is sampled into read_latency_. Lives on the
+     * routing. Latency is recorded in read_latency_. Lives on the
      * cluster (not the source) so hedge backup attempts can run on
      * pool threads that may outlive the TectonicSource that asked.
      */
     dwrf::IoStatus readFileRange(const std::string &name, Bytes offset,
                                  Bytes len, dwrf::Buffer &out) const;
+
+    /** The hedge trigger under `hedge` (lock-free). */
+    double hedgeDelaySeconds(const HedgeOptions &hedge) const;
 
     /** Run a hedge primary on the (lazily created) hedge pool. */
     void submitHedge(std::function<void()> task) const;
@@ -624,9 +624,10 @@ class TectonicCluster
 
     // Tail tolerance. Breakers are guarded by io_mutex_ (accessed
     // only inside routeBlockRead/tryReplicaIo and accessors);
-    // read_latency_ is internally mutex-guarded.
+    // read_latency_ is lock-free and fixed-size, so neither recording
+    // a read nor arming a hedge slows down as the cluster ages.
     mutable std::vector<CircuitBreaker> breakers_;
-    mutable PercentileSampler read_latency_;
+    mutable LogLinearHistogram read_latency_;
     mutable std::mutex hedge_mutex_; ///< guards hedge_ and pool init
     HedgeOptions hedge_;
 

@@ -4,7 +4,8 @@
  * plane: ThreadPool scheduling/quiesce and BoundedQueue MPMC
  * semantics (blocking, bounding, close/drain), plus the ObjectPool
  * recycling the extract stage's stripe buffers (max_idle and
- * retained-bytes bounds, dirty handback, concurrent acquire/release).
+ * retained-bytes bounds, dirty handback, concurrent acquire/release),
+ * and the lock-free latency histogram behind the hedge trigger.
  * The MPMC stress cases and the pool stress case are the ones tier-1
  * runs under TSan (-DDSI_SANITIZE=thread).
  */
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -243,6 +245,57 @@ TEST(PercentileSampler, ConcurrentReadersAndWritersAreSafe)
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(sampler.count(), 1000u + kWriters * 500u);
+}
+
+TEST(LogLinearHistogram, ConcurrentAddsAndPercentilesAreExact)
+{
+    // The hedge trigger's histogram: every extract thread records into
+    // it while others read percentiles, with no lock. No add may be
+    // lost, and a concurrent percentile must stay inside the range of
+    // the recorded values.
+    LogLinearHistogram h;
+    constexpr int kWriters = 8;
+    constexpr int kPerWriter = 20000;
+    constexpr double kLo = 10e-6;
+    constexpr double kHi = 10e-3;
+    constexpr double kTop =
+        kHi * (1.0 + 1.0 / LogLinearHistogram::kSubBuckets);
+    std::atomic<bool> go{false};
+    std::atomic<int> writing{kWriters};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+        threads.emplace_back([&, w] {
+            Rng rng(100 + w);
+            while (!go.load())
+                std::this_thread::yield();
+            for (int i = 0; i < kPerWriter; ++i)
+                h.add(kLo * std::pow(kHi / kLo, rng.nextDouble()));
+            writing.fetch_sub(1);
+        });
+    }
+    threads.emplace_back([&] {
+        while (!go.load())
+            std::this_thread::yield();
+        uint64_t last_count = 0;
+        while (writing.load() > 0) {
+            for (double p : {50.0, 99.0}) {
+                double v = h.percentile(p);
+                if (v == 0.0)
+                    continue; // nothing recorded yet
+                EXPECT_GE(v, kLo);
+                EXPECT_LE(v, kTop);
+            }
+            uint64_t count = h.count();
+            EXPECT_GE(count, last_count);
+            last_count = count;
+        }
+    });
+    go = true;
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(h.count(), static_cast<uint64_t>(kWriters) * kPerWriter);
+    EXPECT_GE(h.percentile(0), kLo);
+    EXPECT_LE(h.percentile(100), kTop);
 }
 
 TEST(IoTrace, ConcurrentRecordAndInspectIsRaceFree)

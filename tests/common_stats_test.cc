@@ -102,6 +102,96 @@ TEST(LogHistogram, BucketsCoverValues)
     EXPECT_TRUE(found);
 }
 
+// LogLinearHistogram, checked against PercentileSampler as the exact
+// reference: never below it, and at most 1/kSubBuckets above.
+using Hist = LogLinearHistogram;
+constexpr double kHistBound = 1.0 / Hist::kSubBuckets;
+
+void
+expectWithinBound(const Hist &h, const PercentileSampler &exact)
+{
+    EXPECT_EQ(h.count(), exact.count());
+    for (double p : {50.0, 90.0, 99.0, 99.9}) {
+        double want = exact.percentile(p);
+        double got = h.percentile(p);
+        EXPECT_GE(got, want) << "p" << p;
+        EXPECT_LE(got, want * (1.0 + kHistBound)) << "p" << p;
+    }
+}
+
+TEST(LogLinearHistogram, LogNormalLatenciesWithinBound)
+{
+    Rng rng(11);
+    Hist h;
+    PercentileSampler exact;
+    for (int i = 0; i < 20000; ++i) {
+        // Median 100 us, a decade of spread either side.
+        double x = 100e-6 * std::exp(rng.nextGaussian());
+        h.add(x);
+        exact.add(x);
+    }
+    expectWithinBound(h, exact);
+}
+
+TEST(LogLinearHistogram, StragglerMixWithinBound)
+{
+    // 85% fast reads near 20 us, 15% stragglers near 3 ms: p90 and up
+    // land in the straggler mode, p50 in the fast one.
+    Rng rng(12);
+    Hist h;
+    PercentileSampler exact;
+    for (int i = 0; i < 20000; ++i) {
+        double median = rng.nextDouble() < 0.15 ? 3e-3 : 20e-6;
+        double x = median * std::exp(0.3 * rng.nextGaussian());
+        h.add(x);
+        exact.add(x);
+    }
+    expectWithinBound(h, exact);
+    EXPECT_LT(h.percentile(50), 100e-6);
+    EXPECT_GT(h.percentile(90), 1e-3);
+}
+
+TEST(LogLinearHistogram, BucketEdgesReadBackWithinBound)
+{
+    // Exact bucket lower edges are the worst case for the bound.
+    for (int octave = 0; octave < Hist::kOctaves; ++octave) {
+        for (int sub = 0; sub < Hist::kSubBuckets; ++sub) {
+            double x = std::ldexp(
+                Hist::kLowest * (1.0 + sub * kHistBound), octave);
+            Hist h;
+            h.add(x);
+            EXPECT_GE(h.percentile(50), x);
+            EXPECT_LE(h.percentile(50), x * (1.0 + kHistBound));
+        }
+    }
+}
+
+TEST(LogLinearHistogram, ZeroSubResolutionAndOverflowClamp)
+{
+    Hist h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.percentile(50), 0.0);
+
+    // Zero and sub-resolution values read back as the floor.
+    h.add(0.0);
+    h.add(Hist::kLowest / 4);
+    EXPECT_EQ(h.percentile(0), Hist::kLowest);
+    EXPECT_EQ(h.percentile(100), Hist::kLowest);
+
+    // Values past the top bucket are clamped to the top edge.
+    h.add(Hist::kHighest);
+    h.add(Hist::kHighest * 1e6);
+    EXPECT_EQ(h.count(), 4u);
+    EXPECT_EQ(h.percentile(0), Hist::kLowest);
+    EXPECT_EQ(h.percentile(100), Hist::kHighest);
+
+    // The floor itself is resolvable: it lands in the first octave.
+    Hist floor;
+    floor.add(Hist::kLowest);
+    EXPECT_DOUBLE_EQ(floor.percentile(50),
+                     Hist::kLowest * (1.0 + kHistBound));
+}
+
 TEST(WeightedCdf, UniformWeightsAreLinear)
 {
     WeightedCdf cdf;

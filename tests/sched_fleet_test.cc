@@ -6,18 +6,22 @@
  * counts, reserved-quota priority for RC tenants (grant-latency SLO
  * under an explore flood), class-priority preemption with graceful
  * handback, exactly-once delivery per tenant under injected worker
- * crashes and blown split deadlines, tenant-labeled trace lineage,
+ * crashes and blown split deadlines, per-worker program caches that
+ * stay bounded as tenants come and go, tenant-labeled trace lineage,
  * metrics-doc drift, and shared-pool auto-scaling (replayed through a
  * fresh policy).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -388,6 +392,54 @@ TEST_F(FleetTest, TicksReapBlownSplitDeadlinesOnEveryTenant)
               1.0);
     for (TenantId id : {t0, t1})
         EXPECT_EQ(fleet.tenantStats(id).splits_failed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Resident-service memory.
+
+TEST_F(FleetTest, WorkersReleaseProgramsOfFinishedTenants)
+{
+    // A resident fleet serves tenant after tenant. A worker keeps a
+    // tenant's compiled transform program only while it tracks one of
+    // that tenant's splits, and tenants here run one at a time, so no
+    // worker may ever hold more than one program — however many
+    // tenants have passed through it.
+    constexpr int kTenants = 16;
+    for (uint32_t threads : {0u, 1u}) {
+        SCOPED_TRACE(threads ? "1+1 threads" : "sync");
+        FleetOptions fo;
+        fo.initial_workers = 2;
+        fo.worker.num_extract_threads = threads;
+        fo.worker.num_transform_threads = threads;
+        FleetScheduler fleet(*mw_.warehouse, fo);
+        TenantLog log;
+        double peak = 0.0;
+        for (int k = 0; k < kTenants; ++k) {
+            TenantOptions opts;
+            opts.name = "t" + std::to_string(k);
+            TenantId t = fleet.addTenant(
+                tenantSpec(mw_, {static_cast<uint32_t>(k % 2)}, 1024),
+                opts);
+            auto admitted = std::chrono::steady_clock::now();
+            while (!fleet.tenantStats(t).done) {
+                std::chrono::duration<double> waited =
+                    std::chrono::steady_clock::now() - admitted;
+                ASSERT_LT(waited.count(), 60.0)
+                    << "tenant " << k << " never finished";
+                fleet.tick(log.sink());
+                double cached = fleet.collectMetrics().gauge(
+                    "worker.cached_programs");
+                ASSERT_LE(cached, 1.0) << "tenant " << k;
+                peak = std::max(peak, cached);
+                std::this_thread::yield();
+            }
+            log.expectExactlyOnce(t, kRowsOne);
+        }
+        fleet.close();
+        while (fleet.tick(log.sink()))
+            std::this_thread::yield();
+        EXPECT_EQ(peak, 1.0) << "worker.cached_programs never published";
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
+#include "common/fault.h"
 #include "dwrf/reader.h"
 #include "dwrf/writer.h"
 #include "storage/provisioning.h"
@@ -216,6 +220,51 @@ TEST(Tectonic, AllReplicasDownIsRecoverableViaCheckedRead)
     cluster.recoverNode(0);
     EXPECT_EQ(src->readChecked(0, 16, out), dwrf::IoStatus::Ok);
     EXPECT_EQ(out.size(), 16u);
+}
+
+TEST(Tectonic, HedgeTriggerFollowsReadLatencyHistogram)
+{
+    // The hedge trigger is the p99 of every read the cluster has
+    // served, from a fixed-size histogram: min_delay_s while cold,
+    // then the percentile clamped to [min_delay_s, max_delay_s].
+    TectonicCluster cluster(smallCluster());
+    cluster.put("f", bytesOf(4096));
+    HedgeOptions hedge; // enabled = false: plain reads, still recorded
+    hedge.min_samples = 8;
+    hedge.min_delay_s = 0.0002;
+    hedge.max_delay_s = 0.001;
+    cluster.setHedging(hedge);
+    EXPECT_EQ(cluster.hedgeDelaySeconds(), hedge.min_delay_s);
+
+    // Every read is held 3 ms by a slow replica.
+    constexpr double kHeld = 0.003;
+    ScopedFault slow(faults::kTectonicReadDelay,
+                     FaultSpec{.latency_seconds = kHeld});
+    auto src = cluster.open("f");
+    double slowest = 0.0;
+    for (uint64_t i = 0; i < hedge.min_samples; ++i) {
+        EXPECT_EQ(cluster.hedgeDelaySeconds(), hedge.min_delay_s)
+            << "cold after " << i << " reads";
+        dwrf::Buffer out;
+        auto start = std::chrono::steady_clock::now();
+        ASSERT_EQ(src->readChecked(0, 512, out), dwrf::IoStatus::Ok);
+        slowest = std::max(
+            slowest, std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    }
+
+    // Warm: p99 is at least 3 ms, so a 1 ms cap wins.
+    EXPECT_EQ(cluster.hedgeDelaySeconds(), hedge.max_delay_s);
+
+    // Uncapped: the p99 itself, never below the held time and within
+    // the histogram's 1/16 bound of the slowest read seen.
+    hedge.max_delay_s = 0.05;
+    cluster.setHedging(hedge);
+    double delay = cluster.hedgeDelaySeconds();
+    EXPECT_GE(delay, kHeld);
+    EXPECT_LE(delay,
+              slowest * (1.0 + 1.0 / LogLinearHistogram::kSubBuckets));
 }
 
 TEST(Tectonic, DwrfReaderWorksOverTectonic)
