@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <numeric>
 
 #include "common/table_printer.h"
@@ -90,7 +91,12 @@ runConfig(const Config &cfg, const TableSchema &schema,
     auto t0 = std::chrono::steady_clock::now();
     uint64_t decoded_rows = 0;
     for (size_t s = 0; s < reader.stripeCount(); ++s) {
-        auto batch = reader.readStripe(s);
+        dwrf::RowBatch batch;
+        if (reader.readStripe(s, batch) != dwrf::ReadStatus::Ok) {
+            std::fprintf(stderr, "ablation_codesign: stripe %zu "
+                                 "read failed\n", s);
+            std::exit(1);
+        }
         if (cfg.row_pivot) {
             // The pre-flatmap path: pivot to rows and back, paying
             // the format-conversion memory traffic.

@@ -170,16 +170,18 @@ runWithScrub(double scrub_bytes_per_sec, bool healer)
                                           2048, wo, so);
     dpp::SessionOptions opts;
     opts.workers = 2;
-    if (healer) {
-        opts.self_heal.cluster = mw.cluster.get();
-        opts.self_heal.heal.scrub_bytes_per_sec = scrub_bytes_per_sec;
-        opts.self_heal.heal.idle_wait_s = 0.001;
-    }
     dpp::InProcessSession session(*mw.warehouse, makeSpec(mw), opts);
 
     ScrubResult r;
     double start = steadySeconds();
+    if (healer) {
+        storage::HealOptions heal;
+        heal.scrub_bytes_per_sec = scrub_bytes_per_sec;
+        heal.idle_wait_s = 0.001;
+        mw.cluster->startHealer(heal);
+    }
     auto result = session.run();
+    mw.cluster->stopHealer();
     r.wall_s = steadySeconds() - start;
     r.rows = result.rows_delivered;
     const auto &m = mw.cluster->metrics();

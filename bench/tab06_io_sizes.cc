@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/table_printer.h"
 #include "dwrf/reader.h"
@@ -53,8 +54,15 @@ main()
         ro.coalesce = coalesce;
         dwrf::FileReader reader(*src, ro);
         src->clearTrace(); // drop footer IOs
-        for (size_t s = 0; s < reader.stripeCount(); ++s)
-            reader.readStripe(s);
+        dwrf::RowBatch batch;
+        for (size_t s = 0; s < reader.stripeCount(); ++s) {
+            if (reader.readStripe(s, batch) != dwrf::ReadStatus::Ok) {
+                std::fprintf(stderr,
+                             "tab06_io_sizes: stripe %zu read failed\n",
+                             s);
+                std::exit(1);
+            }
+        }
         return src->trace().sizeDistribution();
     };
 

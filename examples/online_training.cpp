@@ -71,7 +71,6 @@ main()
         // End-to-end freshness: serving happened at `now`, the
         // sample reached a tensor right after the join closed.
         freshness = (now + 60.0) - now;
-        (void)worker.lastSampleAge(now + 60.0);
         worker.trimConsumed();
     }
     worker.flush();

@@ -34,10 +34,10 @@ run_pass build "" "$@"
 # Pass 2: ASan.
 run_pass build-asan address "$@"
 
-# Optional pass 3: TSan over the threaded suites.
+# Optional pass 3: TSan over the suites labelled `threaded` in
+# tests/CMakeLists.txt.
 if [[ "${DSI_CHECK_TSAN:-0}" == "1" ]]; then
-    run_pass build-tsan thread \
-        -R '(common_concurrency|common_overload|common_trace|dpp_chaos|dpp_parallel|dpp_overload|dpp_trace|dpp_recovery|sched_fleet|storage_heal|dedup_differential)_test' "$@"
+    run_pass build-tsan thread -L threaded "$@"
 fi
 
 # Bench smoke: --quick perf_suite and dedup_bench runs plus schema

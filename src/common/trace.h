@@ -27,8 +27,7 @@
  * Propagation rules (see docs/OBSERVABILITY.md):
  *
  *  - Across components, the parent travels *explicitly*: SplitGrant,
- *    ExtractedStripe, and TensorBatch carry a SpanId; FileReader
- *    takes one via setTraceContext().
+ *    ExtractedStripe, and TensorBatch carry a SpanId.
  *  - Across abstraction boundaries whose signatures cannot carry it
  *    (RandomAccessSource::readChecked), the parent travels via the
  *    thread-local ScopedParent/currentParent() ambient context.

@@ -26,12 +26,6 @@ struct WorkerReport
     double mem_util = 0;
     double net_util = 0;
     uint64_t buffered_tensors = 0;
-
-    double maxUtil() const
-    {
-        double m = cpu_util > mem_util ? cpu_util : mem_util;
-        return m > net_util ? m : net_util;
-    }
 };
 
 /** Controller configuration. */

@@ -9,13 +9,10 @@
 namespace dsi::dpp {
 
 CheckpointJournal::CheckpointJournal(storage::TectonicCluster &cluster,
-                                     std::string base,
-                                     JournalOptions options)
-    : cluster_(cluster), base_(std::move(base)), options_(options)
+                                     std::string base)
+    : cluster_(cluster), base_(std::move(base))
 {
     dsi_assert(!base_.empty(), "journal needs a base name");
-    dsi_assert(options_.keep_records >= 1,
-               "journal must retain at least one record");
     // Resume the sequence counter past any surviving records so a
     // restarted control plane's first append never collides with (or
     // sorts below) history.
@@ -93,9 +90,9 @@ CheckpointJournal::append(dwrf::ByteSpan payload)
 void
 CheckpointJournal::pruneLocked(uint64_t newest_seq)
 {
-    if (newest_seq < options_.keep_records)
+    if (newest_seq < kKeepRecords)
         return;
-    uint64_t floor = newest_seq - options_.keep_records + 1;
+    uint64_t floor = newest_seq - kKeepRecords + 1;
     for (const auto &name : cluster_.listFiles(base_ + ".")) {
         auto seq = parseSeq(name);
         if (seq && *seq < floor)

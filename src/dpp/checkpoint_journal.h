@@ -44,17 +44,6 @@
 
 namespace dsi::dpp {
 
-/** Journal tuning knobs. */
-struct JournalOptions
-{
-    /**
-     * Published records retained after an append; older sequence
-     * numbers are removed. Keeping a few means a torn newest record
-     * (crash mid-publish) still leaves valid fallbacks.
-     */
-    uint32_t keep_records = 4;
-};
-
 /** Outcome of a journal recovery scan. */
 struct JournalRecovery
 {
@@ -71,8 +60,15 @@ class CheckpointJournal
     static constexpr uint64_t kMagic = 0x444a4e4c; ///< "DJNL"
     static constexpr uint64_t kFormatVersion = 1;
 
+    /**
+     * Published records retained after an append; older sequence
+     * numbers are removed. Keeping a few means a torn newest record
+     * (crash mid-publish) still leaves valid fallbacks.
+     */
+    static constexpr uint64_t kKeepRecords = 4;
+
     CheckpointJournal(storage::TectonicCluster &cluster,
-                      std::string base, JournalOptions options = {});
+                      std::string base);
 
     /**
      * Stage, publish, and prune one record. Returns the record's
@@ -109,7 +105,6 @@ class CheckpointJournal
 
     storage::TectonicCluster &cluster_;
     std::string base_;
-    JournalOptions options_;
     uint64_t next_seq_ = 1;
 };
 

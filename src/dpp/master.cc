@@ -184,7 +184,7 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     // Admission control: shed rather than pile work onto a worker
     // that cannot absorb it (full buffer means trainers are the
     // bottleneck; more extraction only grows memory).
-    bool shed = admission_.shed_on_full_buffer && load.buffer_full;
+    bool shed = load.buffer_full;
     if (!shed && admission_.max_inflight_per_worker > 0) {
         uint32_t held = 0;
         for (const auto &[split_id, w] : inflight_)
@@ -428,9 +428,8 @@ Master::enableJournal(storage::TectonicCluster &cluster,
                       std::string base, CheckpointPolicy policy)
 {
     std::scoped_lock lock(mutex_);
-    journal_ = std::make_unique<CheckpointJournal>(
-        cluster, std::move(base),
-        JournalOptions{policy.keep_records});
+    journal_ = std::make_unique<CheckpointJournal>(cluster,
+                                                   std::move(base));
     policy_ = policy;
     last_checkpoint_at_ = trace::nowSeconds();
     deliveries_since_checkpoint_ = 0;
@@ -597,45 +596,6 @@ Master::recoverFromJournal()
     if (trace::on())
         trace::endSpan(span, trace::spans::kMasterRecover);
     return ok;
-}
-
-void
-Master::checkpointToStorage(storage::TectonicCluster &cluster,
-                            const std::string &name) const
-{
-    cluster.put(name, checkpoint().serialize());
-}
-
-bool
-Master::restoreFromStorage(const storage::TectonicCluster &cluster,
-                           const std::string &name)
-{
-    // A missing, unreadable, or corrupt checkpoint is a recoverable
-    // condition: the replica cold-starts from the full enumeration
-    // (re-processing completed splits is wasteful but correct).
-    if (!cluster.exists(name)) {
-        dsi_warn("checkpoint '%s' not found; cold-starting",
-                 name.c_str());
-        metrics_.inc("master.checkpoint_restore_failed");
-        return false;
-    }
-    auto source = cluster.open(name);
-    dwrf::Buffer bytes;
-    if (source->readChecked(0, source->size(), bytes) !=
-        dwrf::IoStatus::Ok) {
-        dsi_warn("checkpoint '%s' unreadable; cold-starting",
-                 name.c_str());
-        metrics_.inc("master.checkpoint_restore_failed");
-        return false;
-    }
-    auto cp = MasterCheckpoint::deserialize(bytes);
-    if (!cp.has_value()) {
-        dsi_warn("checkpoint '%s' is corrupt; cold-starting",
-                 name.c_str());
-        metrics_.inc("master.checkpoint_restore_failed");
-        return false;
-    }
-    return restore(*cp);
 }
 
 bool

@@ -7,7 +7,11 @@
  * dataset), serves them to Workers on request, tracks completion,
  * checkpoints reader state for fault tolerance, restarts failed
  * Workers' splits (Workers are stateless, so no Worker checkpoint is
- * needed), and is itself replicable via checkpoint/restore.
+ * needed), and is itself replicable via checkpoint/restore. Its one
+ * durable path is the write-ahead journal on Tectonic
+ * (enableJournal / recoverFromJournal, checkpoint_journal.h);
+ * checkpoint() and restore() are the in-memory snapshot the journal
+ * writes and recovery applies.
  *
  * Thread safety: the split-distribution API (registerWorker,
  * acquireSplit, completeSplit, failWorker, progress, checkpoint,
@@ -105,9 +109,6 @@ struct CheckpointPolicy
      * crash setting; 0 disables the trigger.
      */
     uint64_t every_n_deliveries = 0;
-
-    /** Journal retention (CheckpointJournal keep_records). */
-    uint32_t keep_records = 4;
 };
 
 /**
@@ -154,8 +155,8 @@ struct SessionProgress
 };
 
 /**
- * Overload-protection knobs. Defaults keep every behaviour off so
- * existing callers see the old unconditional-grant semantics.
+ * Overload-protection knobs, off at their zero values. Requests from
+ * workers reporting a full output buffer are always shed.
  */
 struct AdmissionOptions
 {
@@ -164,9 +165,6 @@ struct AdmissionOptions
      * worker at the cap is shed (Overloaded) instead of granted.
      */
     uint32_t max_inflight_per_worker = 0;
-
-    /** Shed requests from workers reporting a full output buffer. */
-    bool shed_on_full_buffer = true;
 
     /**
      * Per-split completion budget in seconds; 0 disables deadlines.
@@ -341,22 +339,6 @@ class Master : public WorkSource
 
     /** Checkpoint of reader state (Section III-B1). */
     MasterCheckpoint checkpoint() const;
-
-    /**
-     * Persist the checkpoint durably as a Tectonic file (production
-     * masters checkpoint periodically so a replica can take over).
-     */
-    void checkpointToStorage(storage::TectonicCluster &cluster,
-                             const std::string &name) const;
-
-    /**
-     * Restore from a checkpoint file. False (with
-     * master.checkpoint_restore_failed counted) when the file is
-     * missing, unreadable, or corrupt — the caller cold-starts from
-     * the full split enumeration instead of aborting.
-     */
-    bool restoreFromStorage(const storage::TectonicCluster &cluster,
-                            const std::string &name);
 
     /**
      * Restore from a checkpoint: completed splits stay completed,

@@ -38,6 +38,8 @@ InProcessSession::syncClients()
     if (!clients_.empty() && clients_generation_ == pool_->generation())
         return;
     clients_generation_ = pool_->generation();
+    for (const auto &c : clients_)
+        retired_client_metrics_.merge(c->metrics());
     clients_.clear();
     std::vector<Worker *> workers;
     workers.reserve(pool_->size());
@@ -87,13 +89,6 @@ InProcessSession::run(TensorSink sink, uint64_t fail_after_splits)
         trace::TraceLog::instance().clear();
         trace::TraceLog::instance().enable();
     }
-    // The session owns the storage healer for the duration of the
-    // run: scrub/repair proceed concurrently with training reads and
-    // the thread is joined before run() returns.
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->startHealer(
-            options_.self_heal.heal);
-
     SessionResult result;
     bool failure_pending = fail_after_splits > 0;
     pool_->start();
@@ -137,8 +132,6 @@ InProcessSession::run(TensorSink sink, uint64_t fail_after_splits)
     // they already quiesced and stop() just joins their threads.
     pool_->stop();
 
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->stopHealer();
     if (tracing) {
         trace::TraceLog::instance().disable();
         trace_events_ = trace::TraceLog::instance().snapshot();
@@ -147,8 +140,7 @@ InProcessSession::run(TensorSink sink, uint64_t fail_after_splits)
     dsi_assert(halt_requested_ || master_->progress().done(),
                "session ended with incomplete splits");
     result.worker_failures = pool_->failures();
-    // Client metrics don't survive syncClients(); the ledger is the
-    // authoritative session-wide suppression count.
+    // The ledger is the authoritative session-wide suppression count.
     result.duplicates_suppressed = ledger_.duplicates();
     result.splits_failed = master_->progress().failed_splits;
     result.workers_launched = pool_->launched();
@@ -164,10 +156,9 @@ InProcessSession::collectMetrics() const
     Metrics merged;
     merged.merge(master_->metrics());
     merged.merge(pool_->collectMetrics());
+    merged.merge(retired_client_metrics_);
     for (const auto &c : clients_)
         merged.merge(c->metrics());
-    if (options_.self_heal.cluster)
-        merged.merge(options_.self_heal.cluster->metrics());
     return merged;
 }
 

@@ -10,6 +10,12 @@
  * failed at the Master (its in-flight splits requeue) and replaced by
  * a stateless worker; injectWorkerFailure() does the same on demand.
  *
+ * Durability and healing are not the session's: the Master persists
+ * through its checkpoint journal (SessionOptions::recovery), and the
+ * storage healer belongs to the cluster — a caller that wants it
+ * during training wraps run() in TectonicCluster::startHealer() /
+ * stopHealer() and reads storage.* from the cluster's metrics().
+ *
  * run() is one loop, the same shape as sched::FleetScheduler::tick:
  * pump the pool (synchronous workers only), fail a worker if asked,
  * reap blown split deadlines, run the pool's maintenance pass, and
@@ -49,24 +55,6 @@ struct TraceOptions
     bool enabled = false;
 };
 
-/**
- * Storage self-healing lifecycle. With a cluster attached, the
- * session owns a background healer on it for the duration of run():
- * the scrubber and repair executor work at their configured budgets
- * while training reads proceed, and the healer is stopped (joined)
- * before run() returns. The cluster's self-healing metrics
- * (storage.*) are folded into collectMetrics().
- */
-struct SelfHealOptions
-{
-    /** Cluster to heal (null = self-healing off). Must outlive the
-     * session. */
-    storage::TectonicCluster *cluster = nullptr;
-
-    /** Scrub / repair pacing for the background healer. */
-    storage::HealOptions heal;
-};
-
 /** Session-level configuration. */
 struct SessionOptions
 {
@@ -98,9 +86,6 @@ struct SessionOptions
 
     /** Durable checkpointing / crash recovery (off by default). */
     RecoveryOptions recovery;
-
-    /** Background storage scrubbing/repair (off by default). */
-    SelfHealOptions self_heal;
 };
 
 /** Aggregate outcome of a completed session. */
@@ -186,8 +171,9 @@ class InProcessSession
 
     /**
      * Merged metrics registry across the Master, the worker pool
-     * (retired workers included) and the current clients — the bag
-     * MetricsExporter renders.
+     * (retired workers included) and the clients (those replaced on
+     * a pool membership change included) — the bag MetricsExporter
+     * renders.
      */
     Metrics collectMetrics() const;
 
@@ -206,6 +192,7 @@ class InProcessSession
     std::unique_ptr<WorkerPool> pool_;
     std::vector<std::unique_ptr<Client>> clients_;
     uint64_t clients_generation_ = 0; ///< pool generation clients see
+    Metrics retired_client_metrics_; ///< totals of replaced clients
     DeliveryLedger ledger_; ///< session-wide exactly-once dedup
     std::atomic<bool> halt_requested_{false};
     std::vector<trace::TraceEvent> trace_events_; ///< last run's trace

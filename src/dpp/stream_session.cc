@@ -59,7 +59,6 @@ StreamWorker::pump(uint64_t max_records)
                     return !keep.count(s.id);
                 });
             }
-            last_sample_time_ = rec.timestamp;
             pending_.push_back(std::move(*row));
             metrics_.inc("stream.rows");
             if (pending_.size() >= spec_.batch_size)

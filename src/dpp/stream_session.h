@@ -81,12 +81,6 @@ class StreamWorker
     /** Trim the consumed prefix of the stream (bounds LogDevice). */
     void trimConsumed();
 
-    /** Producer-to-tensor latency of the newest batched sample. */
-    SimTime lastSampleAge(SimTime now) const
-    {
-        return now - last_sample_time_;
-    }
-
     const transforms::TransformStats &transformStats() const
     {
         return transform_stats_;
@@ -107,7 +101,6 @@ class StreamWorker
     std::vector<dwrf::Row> pending_;
     std::vector<dwrf::RowBatch> ready_; ///< awaiting parallel transform
     std::deque<TensorBatch> buffer_;
-    SimTime last_sample_time_ = 0;
     transforms::TransformStats transform_stats_;
     Metrics metrics_;
 };

@@ -14,7 +14,7 @@ Worker::Worker(WorkSource &control,
                const warehouse::Warehouse &warehouse,
                WorkerOptions options)
     : control_(control), warehouse_(warehouse), options_(options),
-      stripe_pool_(options.stripe_pool_max_idle,
+      stripe_pool_(kStripePoolMaxIdle,
                    options.stripe_pool_retained_bytes,
                    [](const dwrf::RowBatch &b) {
                        return static_cast<size_t>(b.heapBytes());
@@ -44,7 +44,7 @@ Worker::start()
     uint32_t extracters = std::max(1u, options_.num_extract_threads);
     uint32_t transformers = std::max(1u, options_.num_transform_threads);
     stripe_queue_ = std::make_unique<BoundedQueue<ExtractedStripe>>(
-        options_.stripe_queue_capacity);
+        kStripeQueueCapacity);
     active_extractors_ = extracters;
     active_transformers_ = transformers;
     metrics_.set("worker.extract_threads", extracters);

@@ -138,20 +138,6 @@ struct WorkerOptions
     uint32_t num_transform_threads = 0;
 
     /**
-     * Capacity (in stripes) of the extract -> transform hand-off
-     * queue; the second backpressure point of the pipeline.
-     */
-    size_t stripe_queue_capacity = 8;
-
-    /**
-     * Max idle stripe batches retained for reuse. Recycled batches
-     * keep their columns' heap capacity across stripes (the reader
-     * reuses it), cutting per-stripe allocation churn. Sized to cover
-     * the queue plus every in-flight stage by default.
-     */
-    size_t stripe_pool_max_idle = 16;
-
-    /**
      * Cap on heap bytes the idle stripe pool may pin (0 = unbounded).
      * Pooled batches keep the column capacity of the largest stripe
      * they ever carried, so without a cap one huge stripe inflates
@@ -312,6 +298,20 @@ class Worker
     }
 
   private:
+    /**
+     * Capacity (in stripes) of the extract -> transform hand-off
+     * queue; the second backpressure point of the pipeline.
+     */
+    static constexpr size_t kStripeQueueCapacity = 8;
+
+    /**
+     * Max idle stripe batches retained for reuse. Recycled batches
+     * keep their columns' heap capacity across stripes (the reader
+     * reuses it), cutting per-stripe allocation churn. Sized to cover
+     * the queue plus every in-flight stage.
+     */
+    static constexpr size_t kStripePoolMaxIdle = 16;
+
     /**
      * One decoded stripe handed from extract to transform. The batch
      * is held by pointer so the queue hand-off moves one word — never

@@ -121,10 +121,7 @@ ReadStatus
 FileReader::readStripe(size_t stripe_index, RowBatch &out)
 {
     trace::Span span(trace::spans::kReaderStripe,
-                     trace_parent_ != trace::kNoSpan
-                         ? trace_parent_
-                         : trace::currentParent(),
-                     stripe_index);
+                     trace::currentParent(), stripe_index);
     // Storage reads issued below (RandomAccessSource::readChecked)
     // pick up this span through the ambient parent — readChecked's
     // virtual signature cannot carry a trace context.
@@ -162,17 +159,6 @@ FileReader::readStripe(size_t stripe_index, RowBatch &out)
         }
     }
     return status;
-}
-
-RowBatch
-FileReader::readStripe(size_t stripe_index)
-{
-    RowBatch batch;
-    ReadStatus status = readStripe(stripe_index, batch);
-    dsi_assert(status == ReadStatus::Ok,
-               "stripe %zu unreadable after %u retries", stripe_index,
-               options_.max_stripe_retries);
-    return batch;
 }
 
 ReadStatus

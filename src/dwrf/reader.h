@@ -170,7 +170,9 @@ class FileReader
      * callers can fail the split over to another worker or another
      * replica. Retries (and their sleeps) observe the deadline set by
      * setDeadline(): an expired budget returns DeadlineExpired so the
-     * caller can requeue the work instead of hanging on it.
+     * caller can requeue the work instead of hanging on it. The
+     * stripe-read span parents on the ambient trace::currentParent()
+     * (the worker's extract-stripe span).
      */
     ReadStatus readStripe(size_t stripe_index, RowBatch &out);
 
@@ -179,19 +181,6 @@ class FileReader
      * grant's deadline). Default: unbounded.
      */
     void setDeadline(Deadline deadline) { deadline_ = deadline; }
-
-    /**
-     * Parent span for this reader's stripe-read spans (the worker's
-     * extract-stripe span). Defaults to the ambient
-     * trace::currentParent() at each readStripe call.
-     */
-    void setTraceContext(trace::SpanId parent)
-    {
-        trace_parent_ = parent;
-    }
-
-    /** Legacy fail-stop wrapper: asserts the checked read succeeded. */
-    RowBatch readStripe(size_t stripe_index);
 
     /** Cumulative extraction accounting across readStripe calls. */
     const ReadStats &stats() const { return stats_; }
@@ -242,7 +231,6 @@ class FileReader
     ReadStats stats_;
     Deadline deadline_; ///< budget for reads; default unbounded
     Backoff backoff_;   ///< jittered retry delays
-    trace::SpanId trace_parent_ = trace::kNoSpan;
 
     // Capacity recycling: cleared columns stripped from the caller's
     // previous batch, plus a scratch vector for RLE sparse lengths.

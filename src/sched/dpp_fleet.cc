@@ -36,11 +36,6 @@ FleetScheduler::FleetScheduler(const warehouse::Warehouse &warehouse,
 {
     dsi_assert(options_.initial_workers >= 1,
                "fleet needs >= 1 worker");
-    // The fleet is the long-lived resident service: it owns the
-    // storage healer for its whole lifetime, not per run().
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->startHealer(
-            options_.self_heal.heal);
     // Built last: each worker registers with this fleet on creation.
     pool_ = std::make_unique<dpp::WorkerPool>(
         *this, warehouse_, options_.worker, options_.initial_workers,
@@ -50,8 +45,6 @@ FleetScheduler::FleetScheduler(const warehouse::Warehouse &warehouse,
 FleetScheduler::~FleetScheduler()
 {
     pool_->stop();
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->stopHealer();
 }
 
 TenantId
@@ -584,8 +577,6 @@ FleetScheduler::collectMetrics() const
         for (const auto &[id, st] : tenants_)
             merged.merge(st->master->metrics());
     }
-    if (options_.self_heal.cluster)
-        merged.merge(options_.self_heal.cluster->metrics());
     return merged;
 }
 

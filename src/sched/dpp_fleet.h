@@ -56,7 +56,9 @@
  * delivered stripes), attempts are not double-charged, and replayed
  * batches are suppressed by the restored ledger. Tenants must be
  * re-admitted in their original order (ids — and thus journal names —
- * are assigned sequentially).
+ * are assigned sequentially). The storage healer is not the fleet's:
+ * it belongs to the cluster (TectonicCluster::startHealer), whose
+ * metrics() carry the storage.* counters.
  *
  * **Observability.** Per-tenant counters fleet.tenant.<id>.granted /
  * .shed / .preempted; grant-latency percentiles per tenant; a
@@ -163,14 +165,6 @@ struct FleetOptions
      * `<recovery.journal_base>.t<tenant_id>` on `recovery.cluster`.
      */
     dpp::RecoveryOptions recovery;
-
-    /**
-     * Background storage scrubbing/repair (off by default). The fleet
-     * owns the healer for its whole lifetime: started at
-     * construction, stopped (joined) at destruction — a fleet is the
-     * long-lived resident service, unlike a session's scoped run().
-     */
-    dpp::SelfHealOptions self_heal;
 };
 
 /** One tenant's aggregate outcome / live accounting. */

@@ -66,24 +66,6 @@ StorageNode::recordIo(Bytes bytes)
                            : ssd_.ioTime(bytes);
 }
 
-Bytes
-StorageNode::capacity() const
-{
-    return tier_ == Tier::Hdd ? hdd_.capacity() : ssd_.capacity();
-}
-
-double
-StorageNode::powerWatts() const
-{
-    return tier_ == Tier::Hdd ? hdd_.node_power_w : ssd_.node_power_w;
-}
-
-double
-StorageNode::peakIops(Bytes io_size) const
-{
-    return tier_ == Tier::Hdd ? hdd_.iops(io_size) : ssd_.iops(io_size);
-}
-
 void
 StorageNode::resetAccounting()
 {
@@ -144,7 +126,7 @@ TectonicCluster::hedgeDelaySeconds(const HedgeOptions &h) const
 {
     if (read_latency_.count() < h.min_samples)
         return h.min_delay_s;
-    double p = read_latency_.percentile(h.delay_percentile);
+    double p = read_latency_.percentile(kHedgeDelayPercentile);
     return std::clamp(p, h.min_delay_s, h.max_delay_s);
 }
 
@@ -470,26 +452,6 @@ TectonicCluster::physicalBytes() const
     return total;
 }
 
-Bytes
-TectonicCluster::rawCapacity() const
-{
-    Bytes c = 0;
-    for (const auto &n : nodes_)
-        c += n.capacity();
-    return c;
-}
-
-double
-TectonicCluster::totalPowerWatts() const
-{
-    double w = 0.0;
-    for (const auto &n : nodes_)
-        w += n.powerWatts();
-    if (cache_node_)
-        w += cache_node_->powerWatts();
-    return w;
-}
-
 void
 TectonicCluster::resetAccounting()
 {
@@ -734,6 +696,13 @@ TectonicCluster::executeRepair(const RepairTask &task, bool &stalled,
 uint64_t
 TectonicCluster::drainRepairQueue() const
 {
+    return runRepairs([](Bytes) { return true; });
+}
+
+uint64_t
+TectonicCluster::runRepairs(
+    const std::function<bool(Bytes)> &after_task) const
+{
     processPendingDeaths();
     {
         // Give parked (previously unprogressable) tasks another shot.
@@ -754,6 +723,8 @@ TectonicCluster::drainRepairQueue() const
         Bytes wrote = 0;
         repaired += executeRepair(task, stalled, wrote);
         // Stalled tasks park (not requeue), so the loop terminates.
+        if (!after_task(wrote))
+            break;
     }
     return repaired;
 }
@@ -912,26 +883,11 @@ TectonicCluster::healerLoop(HealOptions options) const
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
     };
     while (!healer_stop_.load(std::memory_order_relaxed)) {
-        processPendingDeaths();
-        {
-            std::scoped_lock lock(meta_mutex_, io_mutex_);
-            for (RepairTask &t : repair_parked_)
-                repair_queue_.push_back(std::move(t));
-            repair_parked_.clear();
-        }
         // Repair slice: drain queued tasks, paced per task.
-        while (!healer_stop_.load(std::memory_order_relaxed)) {
-            RepairTask task;
-            {
-                std::scoped_lock lock(meta_mutex_, io_mutex_);
-                if (!popRepairLocked(task))
-                    break;
-            }
-            bool stalled = false;
-            Bytes wrote = 0;
-            executeRepair(task, stalled, wrote);
+        runRepairs([&](Bytes wrote) {
             paced(wrote, options.repair_bytes_per_sec);
-        }
+            return !healer_stop_.load(std::memory_order_relaxed);
+        });
         if (healer_stop_.load(std::memory_order_relaxed))
             break;
         // Scrub slice: one full anti-entropy pass, then sleep off

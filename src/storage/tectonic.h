@@ -6,9 +6,8 @@
  * Files are split into fixed-size blocks placed (with replication and
  * node spread) across storage nodes. Each node models an HDD or SSD
  * device (sim/device.h) and accounts every IO's service time, so
- * experiments can report node IOPS, utilization, the HDD
- * throughput-to-storage gap (Section VII), and storage power
- * (Figure 1).
+ * experiments can report node IOPS, utilization and the HDD
+ * throughput-to-storage gap (Section VII).
  *
  * File bytes are held once in cluster memory; block placement is
  * metadata used for routing and accounting. On top of the placement
@@ -80,13 +79,6 @@ class StorageNode
     /** Total device-busy seconds implied by the recorded IOs. */
     double busySeconds() const { return busy_seconds_; }
 
-    /** Node capacity and power from the device model. */
-    Bytes capacity() const;
-    double powerWatts() const;
-
-    /** Peak random-IOPS of this node at a given IO size. */
-    double peakIops(Bytes io_size) const;
-
     void resetAccounting();
 
   private:
@@ -99,19 +91,19 @@ class StorageNode
     double busy_seconds_ = 0.0;
 };
 
+/** Percentile of observed read latency that arms a hedged read. */
+inline constexpr double kHedgeDelayPercentile = 99.0;
+
 /**
  * Hedged-read (tail-tolerance) configuration. When a read has taken
- * longer than the p`delay_percentile` of recent reads, a backup read
- * is issued against another replica and the first success wins — the
- * "hedged requests" technique of The Tail at Scale. Until enough
+ * longer than the kHedgeDelayPercentile of recent reads, a backup
+ * read is issued against another replica and the first success wins
+ * — the "hedged requests" technique of The Tail at Scale. Until enough
  * latency samples accumulate, `min_delay_s` is the hedge trigger.
  */
 struct HedgeOptions
 {
     bool enabled = false;
-
-    /** Percentile of observed read latency that arms the hedge. */
-    double delay_percentile = 99.0;
 
     /** Floor (and cold-start value) of the hedge delay. */
     double min_delay_s = 0.0002;
@@ -293,8 +285,6 @@ class TectonicCluster
      * report fewer bytes than logical * replication.
      */
     Bytes physicalBytes() const;
-    /** Raw capacity across all (non-cache) nodes. */
-    Bytes rawCapacity() const;
 
     const std::vector<StorageNode> &nodes() const { return nodes_; }
     std::vector<StorageNode> &nodes() { return nodes_; }
@@ -427,19 +417,16 @@ class TectonicCluster
     void setHedging(HedgeOptions hedge);
 
     /**
-     * Current hedge trigger: p`delay_percentile` of observed read
-     * latency (clamped to [min_delay_s, max_delay_s]), or min_delay_s
-     * until min_samples reads have been observed. The percentile
-     * comes from a fixed-size LogLinearHistogram: never below the
-     * exact value, at most 1/16 above it (before the clamp).
+     * Current hedge trigger: the kHedgeDelayPercentile of observed
+     * read latency (clamped to [min_delay_s, max_delay_s]), or
+     * min_delay_s until min_samples reads have been observed. The
+     * percentile comes from a fixed-size LogLinearHistogram: never
+     * below the exact value, at most 1/16 above it (before the clamp).
      */
     double hedgeDelaySeconds() const;
 
     /** Breaker state of one storage node (tests/observability). */
     CircuitBreaker::State breakerState(NodeId id) const;
-
-    /** Aggregate node power (plus the cache device if enabled). */
-    double totalPowerWatts() const;
 
     void resetAccounting();
 
@@ -587,6 +574,16 @@ class TectonicCluster
 
     /** Bytes of block `index` of a file of `file_bytes` bytes. */
     Bytes blockBytes(Bytes file_bytes, uint64_t index) const;
+
+    /**
+     * The one repair routine of drainRepairQueue() and the healer:
+     * apply pending node deaths, unpark parked tasks, then pop and
+     * execute tasks until the queue is empty or `after_task` (given
+     * the bytes the task wrote) returns false. Returns blocks fully
+     * repaired.
+     */
+    uint64_t runRepairs(
+        const std::function<bool(Bytes)> &after_task) const;
 
     void healerLoop(HealOptions options) const;
 

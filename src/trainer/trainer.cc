@@ -62,21 +62,18 @@ measureStallRounds(const warehouse::Warehouse &warehouse,
     dsi_assert(tensors_per_round >= 1, "need positive demand");
 
     dpp::Master master(warehouse, std::move(spec));
-    std::vector<std::unique_ptr<dpp::Worker>> pool;
-    for (uint32_t w = 0; w < workers; ++w)
-        pool.push_back(
-            std::make_unique<dpp::Worker>(master, warehouse));
+    // A fixed synchronous pool: no leases, no autoscaling.
+    dpp::WorkerPool pool(master, warehouse, dpp::WorkerOptions{},
+                         workers, /*lease_timeout=*/0.0,
+                         dpp::AutoScaleOptions{});
     std::vector<dpp::Worker *> raw;
-    for (auto &w : pool)
+    for (const auto &w : pool.workers())
         raw.push_back(w.get());
-    dpp::Client client(0, 1, raw,
-                       dpp::ClientOptions{workers});
+    dpp::Client client(0, 1, raw, dpp::ClientOptions{workers});
 
     StallProbeResult result;
     for (;;) {
-        bool any_work = false;
-        for (auto &w : pool)
-            any_work = w->pump() || any_work;
+        bool any_work = pool.pump();
 
         uint32_t got = 0;
         while (got < tensors_per_round) {
@@ -86,9 +83,7 @@ measureStallRounds(const warehouse::Warehouse &warehouse,
             ++got;
             ++result.tensors;
         }
-        bool drained = true;
-        for (auto &w : pool)
-            drained = drained && w->drained();
+        bool drained = pool.drained();
         if (!any_work && got == 0 && drained)
             break;
         ++result.rounds;

@@ -34,8 +34,13 @@ QueryEngine::scan(const std::vector<PartitionId> &partitions,
             dwrf::FileReader reader(*source, ro);
             dsi_assert(reader.valid(), "unreadable file '%s'",
                        file.c_str());
+            dwrf::RowBatch batch;
             for (size_t s = 0; s < reader.stripeCount(); ++s) {
-                auto batch = reader.readStripe(s);
+                // No recovery path here: an unreadable stripe is fatal.
+                dwrf::ReadStatus status = reader.readStripe(s, batch);
+                dsi_assert(status == dwrf::ReadStatus::Ok,
+                           "stripe %zu of '%s' unreadable", s,
+                           file.c_str());
                 fn(batch);
             }
             bytes_read_ += reader.stats().bytes_read;

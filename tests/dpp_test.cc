@@ -176,68 +176,6 @@ TEST_F(DppTest, CheckpointRestoreResumesWithoutRedoingWork)
     EXPECT_TRUE(replica.progress().done());
 }
 
-TEST_F(DppTest, CheckpointPersistsThroughTectonic)
-{
-    auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
-    WorkerId w = master.registerWorker();
-    auto s = master.acquireSplit(w, {}).split;
-    master.completeSplit(w, s->id);
-    master.checkpointToStorage(*mw_.cluster, "dpp/ckpt");
-
-    Master replica(*mw_.warehouse, spec);
-    replica.restoreFromStorage(*mw_.cluster, "dpp/ckpt");
-    EXPECT_EQ(replica.progress().completed_splits, 1u);
-    EXPECT_EQ(replica.progress().pending_splits,
-              master.totalSplits() - 1);
-}
-
-TEST_F(DppTest, MissingCheckpointFallsBackToColdStart)
-{
-    Master master(*mw_.warehouse, makeSpec(mw_, {0}));
-    EXPECT_FALSE(master.restoreFromStorage(*mw_.cluster, "nope"));
-    EXPECT_EQ(
-        master.metrics().counter("master.checkpoint_restore_failed"),
-        1.0);
-    // The master is untouched and serves the full split set cold.
-    EXPECT_EQ(master.progress().pending_splits, master.totalSplits());
-    WorkerId w = master.registerWorker();
-    EXPECT_EQ(master.acquireSplit(w, {}).status, GrantStatus::Granted);
-}
-
-TEST_F(DppTest, TruncatedCheckpointFallsBackToColdStart)
-{
-    auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
-    WorkerId w = master.registerWorker();
-    auto s = master.acquireSplit(w, {}).split;
-    master.completeSplit(w, s->id);
-    master.checkpointToStorage(*mw_.cluster, "dpp/ckpt-trunc");
-
-    // Corrupt the stored checkpoint: overwrite with a truncated blob.
-    dwrf::Buffer full;
-    {
-        auto src = mw_.cluster->open("dpp/ckpt-trunc");
-        src->read(0, src->size(), full);
-    }
-    dwrf::Buffer trunc(full.begin(),
-                       full.begin() +
-                           static_cast<long>(full.size() / 2));
-    mw_.cluster->remove("dpp/ckpt-trunc");
-    mw_.cluster->put("dpp/ckpt-trunc", trunc);
-
-    Master replica(*mw_.warehouse, spec);
-    EXPECT_FALSE(
-        replica.restoreFromStorage(*mw_.cluster, "dpp/ckpt-trunc"));
-    EXPECT_EQ(
-        replica.metrics().counter("master.checkpoint_restore_failed"),
-        1.0);
-    // Cold start: no state was inherited from the corrupt checkpoint.
-    EXPECT_EQ(replica.progress().completed_splits, 0u);
-    EXPECT_EQ(replica.progress().pending_splits,
-              replica.totalSplits());
-}
-
 TEST_F(DppTest, CorruptCheckpointRejected)
 {
     dwrf::Buffer junk{0xff, 0xff, 0xff};
@@ -487,6 +425,22 @@ TEST_F(DppTest, SessionSurvivesWorkerFailure)
     // received. Net: every row exactly once.
     EXPECT_EQ(result.rows_delivered, 8192u);
     EXPECT_EQ(result.splits_failed, 0u);
+}
+
+TEST_F(DppTest, ClientMetricsSurviveWorkerFailure)
+{
+    // The replacement worker changes the pool's membership, so the
+    // session reconnects its clients; the replaced clients' counters
+    // must still reach collectMetrics().
+    SessionOptions so;
+    so.workers = 3;
+    so.clients = 1;
+    InProcessSession session(*mw_.warehouse, makeSpec(mw_, {0, 1}),
+                             so);
+    auto result = session.run(nullptr, /*fail_after_splits=*/2);
+    EXPECT_EQ(result.worker_failures, 1u);
+    EXPECT_EQ(session.collectMetrics().counter("client.tensors"),
+              static_cast<double>(result.tensors_delivered));
 }
 
 TEST_F(DppTest, ClientsSeeDisjointTensors)

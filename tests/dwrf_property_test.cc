@@ -100,8 +100,9 @@ TEST_P(DwrfProperty, CoalescedEqualsUncoalesced)
     ASSERT_TRUE(a.valid() && b.valid());
     ASSERT_EQ(a.stripeCount(), b.stripeCount());
     for (size_t s = 0; s < a.stripeCount(); ++s) {
-        auto ba = a.readStripe(s);
-        auto bb = b.readStripe(s);
+        RowBatch ba, bb;
+        ASSERT_EQ(a.readStripe(s, ba), ReadStatus::Ok);
+        ASSERT_EQ(b.readStripe(s, bb), ReadStatus::Ok);
         expectBatchesEqual(ba, bb);
     }
     // Coalescing never issues more IOs and never reads fewer bytes.
@@ -123,8 +124,9 @@ TEST_P(DwrfProperty, ProjectionMatchesFilteredFullRead)
     std::set<FeatureId> keep(g.projection.begin(),
                              g.projection.end());
     for (size_t s = 0; s < full.stripeCount(); ++s) {
-        auto f = full.readStripe(s);
-        auto p = proj.readStripe(s);
+        RowBatch f, p;
+        ASSERT_EQ(full.readStripe(s, f), ReadStatus::Ok);
+        ASSERT_EQ(proj.readStripe(s, p), ReadStatus::Ok);
         // Filter the full batch down to the projection.
         RowBatch filtered;
         filtered.rows = f.rows;
@@ -148,8 +150,9 @@ TEST_P(DwrfProperty, AccountingInvariants)
     MemorySource src(g.file);
     FileReader reader(src, ro);
     ASSERT_TRUE(reader.valid());
+    RowBatch batch;
     for (size_t s = 0; s < reader.stripeCount(); ++s)
-        reader.readStripe(s);
+        ASSERT_EQ(reader.readStripe(s, batch), ReadStatus::Ok);
     const auto &st = reader.stats();
     EXPECT_GE(st.bytes_read, st.bytes_needed);
     EXPECT_EQ(st.overRead(), st.bytes_read - st.bytes_needed);

@@ -284,7 +284,8 @@ TEST(Tectonic, DwrfReaderWorksOverTectonic)
     auto src = cluster.open("t/f.dwrf");
     dwrf::FileReader reader(*src, dwrf::ReadOptions{});
     ASSERT_TRUE(reader.valid());
-    auto batch = reader.readStripe(0);
+    dwrf::RowBatch batch;
+    ASSERT_EQ(reader.readStripe(0, batch), dwrf::ReadStatus::Ok);
     EXPECT_EQ(batch.rows, 100u);
     ASSERT_EQ(batch.dense.size(), 1u);
     EXPECT_FLOAT_EQ(batch.dense[0].values[42], 42.0f);
