@@ -127,7 +127,7 @@ benchOverhead()
                 "(same epoch, fresh corpus per mode)\n\n");
 
     dpp::CheckpointPolicy off;            // unused when journal=false
-    dpp::CheckpointPolicy terminal;       // defaults: on_terminal only
+    dpp::CheckpointPolicy terminal;       // defaults: terminal records only
     dpp::CheckpointPolicy periodic;
     periodic.interval_s = 0.005;
     dpp::CheckpointPolicy strict;
@@ -141,7 +141,7 @@ benchOverhead()
     };
     const Mode modes[] = {
         {"off", false, off},
-        {"on_terminal", true, terminal},
+        {"terminal", true, terminal},
         {"periodic 5ms", true, periodic},
         {"per-delivery", true, strict},
     };

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 #
-# Tier-1 verification, twice: a plain build+test pass, then an
-# AddressSanitizer pass (catches the lifetime/buffer bugs the chaos
-# suite is designed to provoke). Run from the repo root:
+# Tier-1 verification, twice: a plain build+test pass (plus a rerun
+# of the suites labelled `traced` with DSI_TRACE=1, as CI's tracing
+# job does), then an AddressSanitizer pass (catches the lifetime/buffer
+# bugs the chaos suite is designed to provoke). Run from the repo root:
 #
 #   scripts/check.sh [extra ctest args...]
 #
@@ -28,8 +29,11 @@ run_pass() {
     (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" "$@")
 }
 
-# Pass 1: plain tier-1.
+# Pass 1: plain tier-1, then the fault-injection and trace suites
+# again with tracing forced on.
 run_pass build "" "$@"
+echo "==> test build with DSI_TRACE=1 (-L traced)"
+(cd build && DSI_TRACE=1 ctest --output-on-failure -j "${JOBS}" -L traced "$@")
 
 # Pass 2: ASan.
 run_pass build-asan address "$@"

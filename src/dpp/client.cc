@@ -1,5 +1,6 @@
 #include "client.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -33,9 +34,14 @@ Client::Client(ClientId index, uint32_t total_clients,
                DeliveryLedger *ledger)
     : id_(index), ledger_(ledger)
 {
+    // Every worker needs a client: an unconnected worker's buffer is
+    // never popped, and completion waits for delivery, so its split
+    // would never finish. Raise the cap until the arcs cover the pool.
+    auto total_workers = static_cast<uint32_t>(workers.size());
+    uint32_t cover = (total_workers + total_clients - 1) / total_clients;
     auto picks = partitionedRoundRobin(
-        index, total_clients, static_cast<uint32_t>(workers.size()),
-        options.max_connections);
+        index, total_clients, total_workers,
+        std::max(options.max_connections, cover));
     for (uint32_t w : picks)
         connections_.push_back(workers[w]);
 }

@@ -25,7 +25,11 @@ namespace dsi::dpp {
 /** Client routing configuration. */
 struct ClientOptions
 {
-    /** Maximum Worker connections per Client. */
+    /**
+     * Maximum Worker connections per Client. A pool larger than
+     * clients × cap raises each client's cap to
+     * ceil(workers / clients), so every worker is connected.
+     */
     uint32_t max_connections = 8;
 };
 
@@ -35,8 +39,10 @@ class Client
   public:
     /**
      * Build client `index` of `total_clients`, partitioned over the
-     * given Worker pool. `ledger` (optional, session-owned) enables
-     * exactly-once suppression of replayed batches.
+     * given Worker pool (raising the connection cap when needed so
+     * the clients together cover every worker). `ledger` (optional,
+     * session-owned) enables exactly-once suppression of replayed
+     * batches.
      */
     Client(ClientId index, uint32_t total_clients,
            std::vector<Worker *> workers, ClientOptions options = {},

@@ -277,8 +277,7 @@ Master::chargeAttemptLocked(uint64_t split_id)
     }
     failed_.insert(split_id);
     clearWatermarkLocked(split_id);
-    if (policy_.on_terminal)
-        writeCheckpointLocked();
+    writeCheckpointLocked();
     metrics_.inc("master.splits_failed");
     dsi_warn("split %llu failed after %u attempts; giving up",
              static_cast<unsigned long long>(split_id), failures);
@@ -344,8 +343,7 @@ Master::completeSplit(WorkerId worker, uint64_t split_id)
     completed_.insert(split_id);
     clearWatermarkLocked(split_id);
     metrics_.inc("master.splits_completed");
-    if (policy_.on_terminal)
-        writeCheckpointLocked();
+    writeCheckpointLocked();
 }
 
 void
@@ -464,9 +462,18 @@ Master::writeCheckpointLocked()
     dwrf::putVarint(payload, master_bytes.size());
     payload.insert(payload.end(), master_bytes.begin(),
                    master_bytes.end());
+    // A finished split is never granted again, so after recovery its
+    // ledger keys could suppress nothing: leave them out, keeping the
+    // record proportional to unfinished work.
     dwrf::Buffer ledger_bytes;
-    if (ledger_)
-        ledger_bytes = ledger_->checkpoint().serialize();
+    if (ledger_) {
+        LedgerCheckpoint cp = ledger_->checkpoint();
+        std::erase_if(cp.delivered, [this](const auto &key) {
+            return completed_.count(key.first) ||
+                   failed_.count(key.first);
+        });
+        ledger_bytes = cp.serialize();
+    }
     dwrf::putVarint(payload, ledger_bytes.size());
     payload.insert(payload.end(), ledger_bytes.begin(),
                    ledger_bytes.end());

@@ -88,20 +88,16 @@ struct MasterCheckpoint
 };
 
 /**
- * When the Master writes durable checkpoints to its journal. All
- * triggers compose; each trigger is off at its zero value.
+ * When the Master writes durable checkpoints to its journal, beyond
+ * the record it always writes when a split reaches a terminal state
+ * (completed, or failed for good) — terminal transitions are exactly
+ * the state a replacement must not lose. The triggers compose; each
+ * is off at its zero value.
  */
 struct CheckpointPolicy
 {
     /** Periodic: maybeCheckpoint() writes if this much clock passed. */
     double interval_s = 0.0;
-
-    /**
-     * Event-driven: write whenever a split reaches a terminal state
-     * (completed, or failed for good). On by default — terminal
-     * transitions are exactly the state a replacement must not lose.
-     */
-    bool on_terminal = true;
 
     /**
      * Write every N delivered batches (noteDelivery). 1 makes the

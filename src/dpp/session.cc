@@ -120,6 +120,10 @@ InProcessSession::run(TensorSink sink, uint64_t fail_after_splits)
         syncClients();
         progressed = drainClients(result, sink) > 0 || progressed;
 
+        // Periodic checkpoint cadence (no-op unless
+        // CheckpointPolicy::interval_s elapsed).
+        master_->maybeCheckpoint();
+
         if (!progressed) {
             if (pool_->drained())
                 break;

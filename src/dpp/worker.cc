@@ -13,12 +13,7 @@ namespace dsi::dpp {
 Worker::Worker(WorkSource &control,
                const warehouse::Warehouse &warehouse,
                WorkerOptions options)
-    : control_(control), warehouse_(warehouse), options_(options),
-      stripe_pool_(kStripePoolMaxIdle,
-                   options.stripe_pool_retained_bytes,
-                   [](const dwrf::RowBatch &b) {
-                       return static_cast<size_t>(b.heapBytes());
-                   })
+    : control_(control), warehouse_(warehouse), options_(options)
 {
     id_ = control_.registerWorker();
     // The transform program (the "serialized and compiled PyTorch
@@ -346,7 +341,6 @@ Worker::nextStripe(HeldSplit &held, ExtractedStripe &out)
 
     uint32_t stripe_index = split.first_stripe + held.next;
     dwrf::ReadStatus status = dwrf::ReadStatus::Ok;
-    auto rows = stripe_pool_.acquire();
     bool ok;
     {
         // The extract span closes before any terminal control-plane
@@ -356,10 +350,9 @@ Worker::nextStripe(HeldSplit &held, ExtractedStripe &out)
                           split.id, stripe_index);
         trace::ScopedParent ambient(espan.id());
         ok = extractStripe(*held.reader, held.grant.tenant, stripe_index,
-                           *rows, held.metrics, &status);
+                           out.rows, held.metrics, &status);
     }
     if (!ok) {
-        stripe_pool_.release(std::move(rows));
         if (status != dwrf::ReadStatus::DeadlineExpired)
             return SplitEnd::Abandon;
         held.metrics.inc("worker.deadline_expired");
@@ -371,7 +364,6 @@ Worker::nextStripe(HeldSplit &held, ExtractedStripe &out)
     out.stripe = held.next++;
     out.epoch = held.epoch;
     out.trace = held.grant.trace;
-    out.rows = std::move(rows);
     return SplitEnd::None;
 }
 
@@ -403,10 +395,6 @@ Worker::finishGrant(HeldSplit &held, SplitEnd end)
         control_.failSplit(id_, tenant, split_id);
         metrics_.inc("worker.splits_abandoned");
     }
-    // Pool gauges must reflect terminal states too, not just clean
-    // completions — otherwise a crashy run reports stale reuse
-    // numbers until the next report interval.
-    publishPoolMetrics();
 }
 
 transforms::CompiledGraph &
@@ -438,7 +426,7 @@ Worker::laneGraph(TransformLane &lane, TenantId tenant)
         ++cached_programs_;
     }
     if (lane.graphs.size() != before)
-        publishPoolMetrics();
+        publishCachedPrograms();
     return *graph;
 }
 
@@ -447,14 +435,10 @@ Worker::transformExtracted(ExtractedStripe &work, TransformLane &lane,
                            bool blocking)
 {
     auto &graph = laneGraph(lane, work.tenant);
-    bool whole = transformStripe(*work.rows, work.tenant, work.split_id,
+    bool whole = transformStripe(work.rows, work.tenant, work.split_id,
                                  work.epoch, work.first_row, work.stripe,
                                  graph, lane.stats, lane.metrics,
                                  blocking, work.trace);
-    // The stripe's columns are no longer needed (mini-batches own
-    // copies); recycle the batch so the next extract reuses its heap
-    // capacity.
-    stripe_pool_.release(std::move(work.rows));
     if (whole) {
         noteProgress({work.tenant, work.split_id}, work.epoch,
                      Progress::StripeTransformed);
@@ -550,7 +534,7 @@ Worker::transformLoop()
     }
     foldLane(lane);
     cached_programs_ -= lane.graphs.size(); // they die with the lane
-    publishPoolMetrics();
+    publishCachedPrograms();
     // Last transformer out marks production finished: drained() can
     // only become true after every pipeline thread has quiesced.
     if (active_transformers_.fetch_sub(1) == 1)
@@ -790,18 +774,11 @@ Worker::noteProgress(SplitKey key, uint64_t epoch, Progress event)
     // hygiene: WorkSource implementations take their own mutexes).
     control_.completeSplit(id_, key.first, key.second);
     metrics_.inc("worker.splits_completed");
-    publishPoolMetrics();
 }
 
 void
-Worker::publishPoolMetrics()
+Worker::publishCachedPrograms()
 {
-    metrics_.set("worker.stripe_pool_allocated",
-                 static_cast<double>(stripe_pool_.allocated()));
-    metrics_.set("worker.stripe_pool_reused",
-                 static_cast<double>(stripe_pool_.reused()));
-    metrics_.set("worker.stripe_pool_retained_bytes",
-                 static_cast<double>(stripe_pool_.retainedBytes()));
     metrics_.set("worker.cached_programs",
                  static_cast<double>(cached_programs_.load()));
 }
@@ -817,7 +794,6 @@ Worker::crash()
     if (stripe_queue_)
         stripe_queue_->close();
     metrics_.inc("worker.crashes");
-    publishPoolMetrics();
     trace::instant(trace::events::kFaultWorkerCrash, trace::kNoSpan,
                    id_);
     dsi_warn("worker %u: injected crash", id_);

@@ -63,7 +63,6 @@
 #include "common/bounded_queue.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
-#include "common/pool.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "dpp/autoscaler.h"
@@ -136,16 +135,6 @@ struct WorkerOptions
 
     /** Transform (compiled graph per mini-batch) threads. */
     uint32_t num_transform_threads = 0;
-
-    /**
-     * Cap on heap bytes the idle stripe pool may pin (0 = unbounded).
-     * Pooled batches keep the column capacity of the largest stripe
-     * they ever carried, so without a cap one huge stripe inflates
-     * the worker's footprint forever; over the cap the pool evicts
-     * idle batches oldest-first (shrink-on-release). Published as the
-     * worker.stripe_pool_retained_bytes gauge.
-     */
-    Bytes stripe_pool_retained_bytes = 256_MiB;
 
     /**
      * RecD-style batch dedup: before transforming each mini-batch,
@@ -284,19 +273,6 @@ class Worker
     }
     const Metrics &metrics() const { return metrics_; }
 
-    // Ground-truth stripe-pool counters (tests compare these against
-    // the published worker.stripe_pool_* gauges, which must stay
-    // consistent even on crash/abandon exits).
-    uint64_t stripePoolAllocated() const
-    {
-        return stripe_pool_.allocated();
-    }
-    uint64_t stripePoolReused() const { return stripe_pool_.reused(); }
-    Bytes stripePoolRetainedBytes() const
-    {
-        return stripe_pool_.retainedBytes();
-    }
-
   private:
     /**
      * Capacity (in stripes) of the extract -> transform hand-off
@@ -305,22 +281,13 @@ class Worker
     static constexpr size_t kStripeQueueCapacity = 8;
 
     /**
-     * Max idle stripe batches retained for reuse. Recycled batches
-     * keep their columns' heap capacity across stripes (the reader
-     * reuses it), cutting per-stripe allocation churn. Sized to cover
-     * the queue plus every in-flight stage.
-     */
-    static constexpr size_t kStripePoolMaxIdle = 16;
-
-    /**
-     * One decoded stripe handed from extract to transform. The batch
-     * is held by pointer so the queue hand-off moves one word — never
-     * the column data — and so the transform stage can recycle the
-     * batch through stripe_pool_ when it is done.
+     * One decoded stripe handed from extract to transform. Moving it
+     * moves the batch's vector headers, never the column data; the
+     * transform stage drops the batch when it is done.
      */
     struct ExtractedStripe
     {
-        std::unique_ptr<dwrf::RowBatch> rows;
+        dwrf::RowBatch rows;
         TenantId tenant = 0;
         uint64_t split_id = 0;
         RowId first_row = 0;
@@ -414,7 +381,7 @@ class Worker
      */
     transforms::CompiledGraph &laneGraph(TransformLane &lane,
                                          TenantId tenant);
-    /** Transform one extracted stripe and recycle its batch. */
+    /** Transform one extracted stripe. */
     void transformExtracted(ExtractedStripe &work, TransformLane &lane,
                             bool blocking);
     void foldLane(TransformLane &lane);
@@ -452,8 +419,7 @@ class Worker
      * `tenant`'s spec. False when the stripe is unreadable after the
      * reader's own retries, or when the read budget expired
      * mid-stripe — `status` (optional) tells the caller which, so it
-     * can abandon vs. release the split. `out` may hold a recycled
-     * batch; the reader strips and reuses its capacity.
+     * can abandon vs. release the split.
      */
     bool extractStripe(dwrf::FileReader &reader, TenantId tenant,
                        uint32_t stripe_index, dwrf::RowBatch &out,
@@ -461,13 +427,11 @@ class Worker
                        dwrf::ReadStatus *status = nullptr) const;
 
     /**
-     * Publish stripe-pool counters and the cached-program count as
-     * worker gauges. Called at every split terminal state (complete,
-     * abandon, return), at crash / pipeline exit, and whenever a lane
-     * compiles or drops a graph, so the gauges never go stale on
-     * failure paths.
+     * Publish the cached-program count as the worker.cached_programs
+     * gauge. Called whenever it changes: a lane compiles or drops a
+     * graph, or exits.
      */
-    void publishPoolMetrics();
+    void publishCachedPrograms();
 
     /**
      * Slice a stripe into mini-batch tensors via `graph`, under
@@ -509,7 +473,6 @@ class Worker
     // Parallel pipeline state.
     std::unique_ptr<ThreadPool> pool_;
     std::unique_ptr<BoundedQueue<ExtractedStripe>> stripe_queue_;
-    ObjectPool<dwrf::RowBatch> stripe_pool_;
     std::atomic<bool> stop_requested_{false};
     std::atomic<bool> draining_{false}; ///< graceful scale-down
     std::atomic<bool> handback_{false}; ///< preempted: release held

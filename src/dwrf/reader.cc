@@ -46,7 +46,7 @@ FileReader::FileReader(const RandomAccessSource &source,
     : source_(source), options_(std::move(options)),
       cipher_(options_.cipher_key),
       backoff_(BackoffOptions{.base_us = options_.retry_backoff_us,
-                              .cap_us = options_.retry_backoff_cap_us})
+                              .cap_us = kRetryBackoffCapUs})
 {
     // Fetch the tail, then the footer it points at. An unreadable
     // footer leaves the reader invalid (recoverable) rather than
@@ -172,7 +172,7 @@ FileReader::readStripeOnce(size_t stripe_index, RowBatch &out)
 
     std::vector<size_t> wanted = selectStreams(stripe);
     auto plan = planStripeReads(stripe, wanted, options_.coalesce,
-                                options_.coalesce_gap);
+                                kCoalesceGap);
 
     std::vector<Buffer> io_data(plan.size());
     for (size_t p = 0; p < plan.size(); ++p) {

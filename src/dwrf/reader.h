@@ -49,9 +49,8 @@ struct ReadOptions
     /** Features to materialize; empty means every stored feature. */
     std::vector<FeatureId> projection;
 
-    /** Merge stream reads whose gap is <= coalesce_gap into one IO. */
+    /** Merge stream reads whose gap is <= kCoalesceGap into one IO. */
     bool coalesce = false;
-    Bytes coalesce_gap = 1310720; // 1.25 MiB, the production setting
 
     /** Key for encrypted files. Must match the writer's. */
     uint64_t cipher_key = 0x00d5f00dULL;
@@ -73,10 +72,14 @@ struct ReadOptions
      * replica with synchronized retry waves.
      */
     uint64_t retry_backoff_us = 200;
-
-    /** Cap on any single retry delay. */
-    uint64_t retry_backoff_cap_us = 50'000;
 };
+
+/** Largest gap coalescing merges across: 1.25 MiB, the production
+ * setting. */
+inline constexpr Bytes kCoalesceGap = 1310720;
+
+/** Cap on any single stripe-retry delay. */
+inline constexpr uint64_t kRetryBackoffCapUs = 50'000;
 
 /** Byte accounting of the extraction phase. */
 struct ReadStats

@@ -130,29 +130,6 @@ struct RowBatch
         return b;
     }
 
-    /**
-     * Heap bytes *retained* by the batch: vector capacities, not
-     * sizes. This is what a pooled batch keeps alive between reuses
-     * (recycled columns keep their capacity), so it is the measure
-     * the ObjectPool's retained-bytes cap accounts against.
-     */
-    Bytes heapBytes() const
-    {
-        Bytes b = labels.capacity() * sizeof(float);
-        b += dense.capacity() * sizeof(DenseColumn);
-        b += sparse.capacity() * sizeof(SparseColumn);
-        for (const auto &c : dense) {
-            b += c.values.capacity() * sizeof(float) +
-                 c.present.capacity();
-        }
-        for (const auto &c : sparse) {
-            b += c.offsets.capacity() * sizeof(uint32_t);
-            b += c.values.capacity() * sizeof(int64_t);
-            b += c.scores.capacity() * sizeof(float);
-        }
-        return b;
-    }
-
     /** Convert back to row form (used by tests and the row baseline). */
     std::vector<Row> toRows() const;
 };

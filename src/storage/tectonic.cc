@@ -78,14 +78,12 @@ TectonicCluster::TectonicCluster(StorageOptions options)
     : options_(options), rng_(options.seed)
 {
     dsi_assert(options_.block_size > 0, "block size must be positive");
-    dsi_assert(options_.hdd_nodes + options_.ssd_nodes > 0,
+    dsi_assert(options_.hdd_nodes > 0,
                "cluster needs at least one node");
     dsi_assert(options_.replication >= 1, "replication must be >= 1");
     NodeId id = 0;
     for (uint32_t i = 0; i < options_.hdd_nodes; ++i)
         nodes_.emplace_back(id++, Tier::Hdd);
-    for (uint32_t i = 0; i < options_.ssd_nodes; ++i)
-        nodes_.emplace_back(id++, Tier::Ssd);
     if (options_.cache_blocks > 0) {
         cache_node_ = std::make_unique<StorageNode>(id++, Tier::Ssd);
     }

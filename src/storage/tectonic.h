@@ -149,7 +149,6 @@ struct StorageOptions
     Bytes block_size = 8_MiB;
     uint32_t replication = 3;
     uint32_t hdd_nodes = 8;
-    uint32_t ssd_nodes = 0;
 
     /** Blocks the SSD cache can hold; 0 disables the cache. */
     uint64_t cache_blocks = 0;

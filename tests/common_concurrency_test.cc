@@ -2,12 +2,10 @@
  * @file
  * Tests for the concurrency primitives under the parallel DPP data
  * plane: ThreadPool scheduling/quiesce and BoundedQueue MPMC
- * semantics (blocking, bounding, close/drain), plus the ObjectPool
- * recycling the extract stage's stripe buffers (max_idle and
- * retained-bytes bounds, dirty handback, concurrent acquire/release),
- * and the lock-free latency histogram behind the hedge trigger.
- * The MPMC stress cases and the pool stress case are the ones tier-1
- * runs under TSan (-DDSI_SANITIZE=thread).
+ * semantics (blocking, bounding, close/drain), the latency samplers
+ * behind the hedge trigger, and concurrent IoTrace recording. The
+ * MPMC and sampler stress cases are the ones tier-1 runs under TSan
+ * (-DDSI_SANITIZE=thread).
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +17,10 @@
 #include <vector>
 
 #include "common/bounded_queue.h"
-#include "common/pool.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "dwrf/reader.h"
 #include "dwrf/source.h"
-#include "dwrf/writer.h"
 
 namespace dsi {
 namespace {
@@ -349,183 +344,6 @@ TEST(IoTrace, ConcurrentRecordAndInspectIsRaceFree)
     trace.clear();
     EXPECT_EQ(trace.count(), 0u);
     EXPECT_EQ(trace.totalBytes(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// ObjectPool: the worker's stripe-buffer arena (common/pool.h).
-
-/** A batch whose single dense column retains ~`bytes` of heap. */
-std::unique_ptr<dwrf::RowBatch>
-batchRetaining(size_t bytes)
-{
-    auto b = std::make_unique<dwrf::RowBatch>();
-    b->dense.resize(1);
-    b->dense[0].values.reserve(bytes / sizeof(float));
-    return b;
-}
-
-TEST(ObjectPool, MaxIdleBoundsTheFreeList)
-{
-    ObjectPool<int> pool(/*max_idle=*/2);
-    auto a = pool.acquire();
-    auto b = pool.acquire();
-    auto c = pool.acquire();
-    EXPECT_EQ(pool.allocated(), 3u);
-    pool.release(std::move(a));
-    pool.release(std::move(b));
-    EXPECT_EQ(pool.idle(), 2u);
-    pool.release(std::move(c)); // at the boundary: dropped, not kept
-    EXPECT_EQ(pool.idle(), 2u);
-    pool.release(nullptr); // ignored
-    EXPECT_EQ(pool.idle(), 2u);
-
-    pool.acquire();
-    pool.acquire();
-    EXPECT_EQ(pool.reused(), 2u);
-    pool.acquire();
-    EXPECT_EQ(pool.allocated(), 4u); // free list was empty again
-}
-
-TEST(ObjectPool, RetainedBytesCapEvictsOldestIdle)
-{
-    auto sizer = [](const dwrf::RowBatch &b) {
-        return static_cast<size_t>(b.heapBytes());
-    };
-
-    // Regression: an uncapped pool pins a huge stripe's footprint in
-    // its idle list forever.
-    ObjectPool<dwrf::RowBatch> unbounded(8, 0, sizer);
-    unbounded.release(batchRetaining(4_MiB));
-    EXPECT_GE(unbounded.retainedBytes(), 4_MiB);
-    EXPECT_EQ(unbounded.evicted(), 0u);
-
-    // A capped pool sheds oldest-first back under the cap.
-    constexpr size_t kCap = 256 * 1024;
-    ObjectPool<dwrf::RowBatch> pool(8, kCap, sizer);
-    pool.release(batchRetaining(64 * 1024));
-    pool.release(batchRetaining(64 * 1024));
-    EXPECT_EQ(pool.evicted(), 0u);
-    EXPECT_EQ(pool.idle(), 2u);
-    pool.release(batchRetaining(4_MiB)); // blows the cap
-    EXPECT_LE(pool.retainedBytes(), kCap);
-    EXPECT_GE(pool.evicted(), 1u);
-    // The retained account reconciles exactly with the idle objects.
-    size_t remembered = pool.retainedBytes();
-    size_t idle_total = 0;
-    while (pool.idle() > 0)
-        idle_total += sizer(*pool.acquire());
-    EXPECT_EQ(idle_total, remembered);
-    EXPECT_EQ(pool.retainedBytes(), 0u);
-}
-
-TEST(ObjectPool, DirtyHandbackReusesCapacityAndDecodesClean)
-{
-    // Write a two-stripe file, then decode stripe 1 twice: once into
-    // a fresh batch and once into a *dirty* pooled batch still
-    // carrying stripe 0's contents. The reader's capacity recycling
-    // (FileReader::recycleBatch) must make the two byte-identical
-    // while reusing the dirty batch's heap blocks.
-    Rng rng(7);
-    std::vector<dwrf::Row> rows;
-    for (uint32_t i = 0; i < 512; ++i) {
-        dwrf::Row r;
-        r.label = rng.nextBool(0.1) ? 1.0f : 0.0f;
-        r.dense.push_back({100, static_cast<float>(rng.nextDouble())});
-        dwrf::SparseFeature s;
-        s.id = 200;
-        for (uint64_t k = 0; k < 1 + rng.nextUint(8); ++k)
-            s.values.push_back(static_cast<int64_t>(rng.nextUint(1u << 16)));
-        r.sparse.push_back(std::move(s));
-        rows.push_back(std::move(r));
-    }
-    dwrf::WriterOptions wo;
-    wo.rows_per_stripe = 256;
-    dwrf::FileWriter writer(wo);
-    writer.appendRows(rows);
-    dwrf::MemorySource src(writer.finish());
-    dwrf::FileReader reader(src, dwrf::ReadOptions{});
-    ASSERT_TRUE(reader.valid());
-    ASSERT_EQ(reader.stripeCount(), 2u);
-
-    dwrf::RowBatch fresh;
-    ASSERT_EQ(reader.readStripe(1, fresh), dwrf::ReadStatus::Ok);
-
-    auto sizer = [](const dwrf::RowBatch &b) {
-        return static_cast<size_t>(b.heapBytes());
-    };
-    ObjectPool<dwrf::RowBatch> pool(4, 0, sizer);
-    auto pooled = pool.acquire();
-    ASSERT_EQ(reader.readStripe(0, *pooled), dwrf::ReadStatus::Ok);
-    EXPECT_GT(pooled->rows, 0u);
-    dwrf::RowBatch *raw = pooled.get();
-    Bytes dirty_heap = pooled->heapBytes();
-    pool.release(std::move(pooled));
-
-    auto again = pool.acquire();
-    ASSERT_EQ(again.get(), raw); // same object, handed back dirty
-    EXPECT_EQ(pool.reused(), 1u);
-    EXPECT_GT(again->rows, 0u) << "pool must not clear state itself";
-    ASSERT_EQ(reader.readStripe(1, *again), dwrf::ReadStatus::Ok);
-    // Same decoded contents as the fresh batch…
-    auto a = fresh.toRows();
-    auto b = again->toRows();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_FLOAT_EQ(a[i].label, b[i].label);
-        ASSERT_EQ(a[i].dense.size(), b[i].dense.size());
-        ASSERT_EQ(a[i].sparse.size(), b[i].sparse.size());
-    }
-    // …with the recycled heap still in service (stripes are equal
-    // sized, so reuse cannot require growing the footprint much).
-    EXPECT_LE(again->heapBytes(), dirty_heap * 2);
-}
-
-TEST(ObjectPool, ConcurrentAcquireReleaseKeepsInvariants)
-{
-    // The TSan shard's pool stress: hammer one pool from many threads
-    // through a capped, sizer-measured acquire/release cycle and
-    // check the counters reconcile exactly afterwards.
-    constexpr int kThreads = 8;
-    constexpr int kItersPerThread = 400;
-    constexpr size_t kCap = 64 * 1024;
-    auto sizer = [](const dwrf::RowBatch &b) {
-        return static_cast<size_t>(b.heapBytes());
-    };
-    ObjectPool<dwrf::RowBatch> pool(4, kCap, sizer);
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&pool, &go, t] {
-            while (!go.load())
-                std::this_thread::yield();
-            Rng rng(static_cast<uint64_t>(t) + 1);
-            for (int i = 0; i < kItersPerThread; ++i) {
-                auto b = pool.acquire();
-                // Dirty the object: grow a column to a random size.
-                b->rows = static_cast<uint32_t>(i + 1);
-                b->dense.resize(1);
-                b->dense[0].values.resize(rng.nextUint(2048));
-                pool.release(std::move(b));
-            }
-        });
-    }
-    go = true;
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(pool.allocated() + pool.reused(),
-              static_cast<uint64_t>(kThreads) * kItersPerThread);
-    EXPECT_LE(pool.idle(), 4u);
-    EXPECT_LE(pool.retainedBytes(), kCap);
-    // Final account must equal the sizer total of what is idle now.
-    size_t drained = 0;
-    size_t remembered = pool.retainedBytes();
-    while (pool.idle() > 0)
-        drained += sizer(*pool.acquire());
-    EXPECT_EQ(drained, remembered);
-    EXPECT_EQ(pool.retainedBytes(), 0u);
 }
 
 } // namespace

@@ -314,66 +314,6 @@ TEST_F(ChaosTest, CombinedChaosParallelPipelineExactlyOnce)
     EXPECT_EQ(result.rows_delivered, kTotalRows);
 }
 
-TEST_F(ChaosTest, PoolGaugesAgreeWithPoolAfterCrashAndCompletion)
-{
-    // The worker publishes its stripe-pool gauges at every split
-    // terminal state *and* at crash, so an observer scraping a dead
-    // worker's registry sees the pool's true final footprint — not a
-    // stale snapshot from the last clean split.
-    Master master(*mw_.warehouse, chaosSpec(mw_));
-    Worker victim(master, *mw_.warehouse, WorkerOptions{});
-
-    // The victim's tensors from its incomplete split will replay via
-    // the replacement — dedupe through a ledger exactly as a session
-    // client pool would.
-    DeliveryLedger ledger;
-    DeliveryLog log;
-    auto deliver = [&](const TensorBatch &t) {
-        if (ledger.claim(t.split_id, t.first_row))
-            log.sinkBatch(t);
-    };
-
-    ScopedFault crash(faults::kWorkerCrash,
-                      FaultSpec{.trigger_hit = 4});
-    while (victim.pump()) {
-        while (auto t = victim.popTensor())
-            deliver(*t);
-    }
-    ASSERT_TRUE(victim.crashed());
-    auto consistent = [](const Worker &w) {
-        const auto &g = w.metrics().gauges();
-        EXPECT_EQ(g.at("worker.stripe_pool_allocated"),
-                  static_cast<double>(w.stripePoolAllocated()));
-        EXPECT_EQ(g.at("worker.stripe_pool_reused"),
-                  static_cast<double>(w.stripePoolReused()));
-        EXPECT_EQ(g.at("worker.stripe_pool_retained_bytes"),
-                  static_cast<double>(w.stripePoolRetainedBytes()));
-    };
-    consistent(victim);
-
-    // Recovery: requeue the dead worker's splits and let a fresh
-    // worker finish the session; its gauges (published at each
-    // complete-split terminal state) stay consistent throughout.
-    master.failWorker(victim.id());
-    Worker replacement(master, *mw_.warehouse, WorkerOptions{});
-    bool saw_midrun_publish = false;
-    while (replacement.pump()) {
-        while (auto t = replacement.popTensor())
-            deliver(*t);
-        // Gauges appear at the first terminal state (first completed
-        // split) and must agree with the pool at every scrape after.
-        if (replacement.metrics().gauges().count(
-                "worker.stripe_pool_allocated")) {
-            consistent(replacement);
-            saw_midrun_publish = true;
-        }
-    }
-    EXPECT_TRUE(saw_midrun_publish);
-    EXPECT_TRUE(master.progress().done());
-    consistent(replacement);
-    log.expectExactlyOnce(kTotalRows);
-}
-
 /**
  * Property tests for the DeliveryLedger itself: the exactly-once
  * invariant must hold for *any* delivery schedule a chaotic session

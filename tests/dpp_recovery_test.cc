@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -300,6 +302,71 @@ TEST_F(RecoveryTest, AttemptCountsAreNotDoubleCharged)
     }
     successor.failSplit(w2, split);
     EXPECT_EQ(successor.progress().failed_splits, 1u);
+}
+
+TEST_F(RecoveryTest, SessionWritesPeriodicCheckpoints)
+{
+    // One split (one 1024-row file) of 8 batches, 2 ms per delivery:
+    // a 1 ms interval must write records before the terminal one.
+    auto mw = testing::makeMiniWarehouse(recoveryParams(), 1, 1024, 1024,
+                                         stripeOptions());
+    SessionOptions so;
+    so.workers = 1;
+    so.clients = 1;
+    so.recovery.cluster = mw.cluster.get();
+    so.recovery.journal_base = "dpp/periodic";
+    so.recovery.policy.interval_s = 0.001;
+    InProcessSession session(*mw.warehouse, recoverySpec(mw, {0}), so);
+    uint64_t batches = 0;
+    session.run([&](ClientId, const TensorBatch &) {
+        ++batches;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+    ASSERT_EQ(batches, 8u);
+    EXPECT_GE(session.collectMetrics().counter(
+                  "master.checkpoint.written"),
+              2.0);
+}
+
+TEST_F(RecoveryTest, JournalOmitsLedgerKeysOfFinishedSplits)
+{
+    // A finished split is never granted again, so its delivered keys
+    // can suppress nothing after recovery; an unfinished split's keys
+    // must survive.
+    auto recoveredKeys = [&] {
+        Master successor(*mw_.warehouse, recoverySpec(mw_));
+        DeliveryLedger ledger;
+        successor.setLedger(&ledger);
+        successor.enableJournal(*mw_.cluster, "dpp/journal",
+                                CheckpointPolicy{});
+        EXPECT_TRUE(successor.recoverFromJournal());
+        return ledger.delivered();
+    };
+    SessionOptions so;
+    so.workers = 1;
+    so.clients = 1;
+    so.recovery = recovery(false);
+
+    // Halted after 6 of the first split's 8 batches: all 6 keys stay.
+    {
+        InProcessSession session(*mw_.warehouse, recoverySpec(mw_), so);
+        uint64_t batches = 0;
+        session.run([&](ClientId, const TensorBatch &) {
+            if (++batches == 6)
+                session.requestHalt();
+        });
+        ASSERT_EQ(session.master().progress().completed_splits, 0u);
+    }
+    EXPECT_EQ(recoveredKeys(), 6u);
+
+    // Run to the end: the newest record carries no key.
+    so.recovery = recovery(true);
+    {
+        InProcessSession session(*mw_.warehouse, recoverySpec(mw_), so);
+        session.run();
+        ASSERT_TRUE(session.master().progress().done());
+    }
+    EXPECT_EQ(recoveredKeys(), 0u);
 }
 
 TEST_F(RecoveryTest, FleetSchedulerDeathRebuildsEveryTenant)

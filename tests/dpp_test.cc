@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "dpp/autoscaler.h"
 #include "dpp/session.h"
@@ -481,6 +485,61 @@ TEST_F(DppTest, ClientExhaustedAfterDrain)
     }
     EXPECT_TRUE(client.exhausted());
     EXPECT_GT(client.metrics().counter("client.tensors"), 0.0);
+}
+
+TEST_F(DppTest, ClientCoversAPoolLargerThanItsCap)
+{
+    // 9 workers, 1 client, default cap of 8: the client raises its
+    // cap so no worker is left unconnected.
+    Master master(*mw_.warehouse, makeSpec(mw_, {0}));
+    std::vector<std::unique_ptr<Worker>> workers;
+    std::vector<Worker *> pool;
+    for (int i = 0; i < 9; ++i) {
+        workers.push_back(
+            std::make_unique<Worker>(master, *mw_.warehouse));
+        pool.push_back(workers.back().get());
+    }
+    Client client(0, 1, pool);
+    std::set<Worker *> connected(client.connections().begin(),
+                                 client.connections().end());
+    EXPECT_EQ(connected.size(), 9u);
+}
+
+TEST(SessionCoverage, PoolLargerThanClientCapsDeliversEveryRowOnce)
+{
+    // An unconnected worker's tensors would never be popped, so its
+    // split would never complete and the session would hang. 32
+    // single-stripe splits make sure the ninth worker is granted one.
+    dwrf::WriterOptions wo;
+    wo.rows_per_stripe = 256;
+    auto mw = testing::makeMiniWarehouse(smallParams(), 2, 4096, 2048,
+                                         wo);
+    auto spec = makeSpec(mw, {0, 1});
+    spec.rows_per_split = 256;
+    SessionOptions so;
+    so.workers = 9;
+    so.clients = 1;
+    InProcessSession session(*mw.warehouse, spec, so);
+
+    // Watchdog: halt a hung run so the test fails instead of timing
+    // out.
+    std::promise<void> finished;
+    std::thread watchdog([&, done = finished.get_future()] {
+        if (done.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready)
+            session.requestHalt();
+    });
+    std::map<std::pair<uint64_t, RowId>, int> seen;
+    auto result = session.run([&](ClientId, const TensorBatch &t) {
+        ++seen[{t.split_id, t.first_row}];
+    });
+    finished.set_value();
+    watchdog.join();
+
+    ASSERT_FALSE(session.halted()) << "session hung";
+    EXPECT_EQ(result.rows_delivered, 8192u);
+    for (const auto &[key, n] : seen)
+        EXPECT_EQ(n, 1) << "split " << key.first << " row " << key.second;
 }
 
 TEST(AutoScaler, ScalesUpWhenStarving)

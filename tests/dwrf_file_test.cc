@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "common/fault.h"
 #include "common/rng.h"
@@ -123,6 +124,44 @@ INSTANTIATE_TEST_SUITE_P(
                       FileOptions{false, Codec::Lz, false},
                       FileOptions{false, Codec::Lz, true},
                       FileOptions{false, Codec::None, true}));
+
+TEST(FileReader, ReusedBatchKeepsColumnCapacityAcrossStripes)
+{
+    // Callers that decode every stripe into one batch (QueryEngine::
+    // scan, the benches) rely on the reader stripping the batch and
+    // reusing its column buffers instead of reallocating them.
+    auto rows = makeRows(512, 7);
+    WriterOptions wo;
+    wo.rows_per_stripe = 256;
+    FileWriter writer(wo);
+    writer.appendRows(rows);
+    MemorySource src(writer.finish());
+    FileReader reader(src, ReadOptions{});
+    ASSERT_TRUE(reader.valid());
+    ASSERT_EQ(reader.stripeCount(), 2u);
+
+    RowBatch batch;
+    ASSERT_EQ(reader.readStripe(0, batch), ReadStatus::Ok);
+    std::set<const void *> first;
+    for (const auto &c : batch.dense)
+        first.insert(c.values.data());
+    for (const auto &c : batch.sparse)
+        first.insert(c.offsets.data());
+    ASSERT_FALSE(batch.dense.empty());
+    ASSERT_FALSE(batch.sparse.empty());
+
+    // Equal-sized stripes: every dense value and sparse offset column
+    // fits in a recycled buffer, so none is reallocated.
+    ASSERT_EQ(reader.readStripe(1, batch), ReadStatus::Ok);
+    for (const auto &c : batch.dense)
+        EXPECT_TRUE(first.count(c.values.data())) << "dense " << c.id;
+    for (const auto &c : batch.sparse)
+        EXPECT_TRUE(first.count(c.offsets.data())) << "sparse " << c.id;
+
+    RowBatch fresh;
+    ASSERT_EQ(reader.readStripe(1, fresh), ReadStatus::Ok);
+    expectRowsEqual(fresh.toRows(), batch.toRows());
+}
 
 TEST(FileReader, ProjectionReturnsOnlyRequestedFeatures)
 {
