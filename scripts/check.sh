@@ -47,11 +47,13 @@ fi
 # Bench smoke: --quick perf_suite and dedup_bench runs plus schema
 # validation of the fresh reports and the checked-in baselines (no
 # thresholds here; the decode speedup and dedup storage-savings bars
-# are asserted by bench_schema_test), then the end-to-end benchmark's
-# tiny-corpus run of every workload, so a src/ change that breaks it
-# fails here.
-echo "==> bench smoke (perf_suite + dedup_bench --quick + validate + e2ebench --smoke)"
-cmake --build build --target perf_suite --target dedup_bench -j "${JOBS}" >/dev/null
+# are asserted by bench_schema_test), then tail_latency_bench (exits 1
+# unless hedged reads lower the p99 batch gap under a straggling
+# replica), then the end-to-end benchmark's tiny-corpus run of every
+# workload, so a src/ change that breaks it fails here.
+echo "==> bench smoke (perf_suite + dedup_bench --quick + validate + tail_latency_bench + e2ebench --smoke)"
+cmake --build build --target perf_suite --target dedup_bench \
+    --target tail_latency_bench -j "${JOBS}" >/dev/null
 bench_out="$(mktemp -d)"
 trap 'rm -rf "${bench_out}"' EXIT
 ./build/bench/perf_suite --quick --out-dir "${bench_out}" >/dev/null
@@ -60,6 +62,7 @@ trap 'rm -rf "${bench_out}"' EXIT
     "${bench_out}/BENCH_decode.json" "${bench_out}/BENCH_dpp.json" \
     "${bench_out}/BENCH_dedup.json" \
     BENCH_decode.json BENCH_dpp.json BENCH_dedup.json
+./build/bench/tail_latency_bench
 python3 e2ebench/run.py --smoke
 
 echo "==> all passes green"

@@ -1,8 +1,5 @@
 #include "fault.h"
 
-#include <chrono>
-#include <thread>
-
 namespace dsi {
 
 FaultInjector &
@@ -49,39 +46,40 @@ FaultInjector::seed(uint64_t s)
 bool
 FaultInjector::shouldFail(const std::string &point)
 {
+    double latency = 0.0;
+    return hit(point, latency) && latency <= 0.0;
+}
+
+double
+FaultInjector::stallSeconds(const std::string &point)
+{
+    double latency = 0.0;
+    return hit(point, latency) ? latency : 0.0;
+}
+
+bool
+FaultInjector::hit(const std::string &point, double &latency_seconds)
+{
     // Fast path: nothing armed anywhere (the production configuration).
     if (armed_count_.load(std::memory_order_relaxed) == 0)
         return false;
 
-    double sleep_seconds = 0.0;
-    bool fail = false;
-    {
-        std::scoped_lock lock(mutex_);
-        auto it = points_.find(point);
-        if (it == points_.end())
-            return false;
-        PointState &st = it->second;
-        ++st.hits;
-        bool fired = st.spec.trigger_hit > 0
-                         ? st.hits == st.spec.trigger_hit
-                         : rng_.nextBool(st.spec.probability);
-        if (fired && st.spec.max_fires > 0 &&
-            st.fires >= st.spec.max_fires) {
-            fired = false;
-        }
-        if (fired) {
-            ++st.fires;
-            if (st.spec.latency_seconds > 0.0)
-                sleep_seconds = st.spec.latency_seconds;
-            else
-                fail = true;
-        }
-    }
-    if (sleep_seconds > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(sleep_seconds));
-    }
-    return fail;
+    std::scoped_lock lock(mutex_);
+    auto it = points_.find(point);
+    if (it == points_.end())
+        return false;
+    PointState &st = it->second;
+    ++st.hits;
+    bool fired = st.spec.trigger_hit > 0
+                     ? st.hits == st.spec.trigger_hit
+                     : rng_.nextBool(st.spec.probability);
+    if (fired && st.spec.max_fires > 0 && st.fires >= st.spec.max_fires)
+        fired = false;
+    if (!fired)
+        return false;
+    ++st.fires;
+    latency_seconds = st.spec.latency_seconds;
+    return true;
 }
 
 bool

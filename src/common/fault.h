@@ -18,7 +18,9 @@
  *    chaos runs are bit-stable under a fixed seed;
  *  - `max_fires` bounds total fires (1 = probabilistic one-shot);
  *  - `latency_seconds > 0` turns the point into a *delay* fault: when
- *    it fires the caller sleeps instead of failing (slow replicas).
+ *    it fires the caller is stalled instead of failing (slow
+ *    replicas). The injector never sleeps: stallSeconds() reports the
+ *    stall and the seam decides how to spend it.
  *
  * Unarmed points cost one relaxed atomic load, so fault points can sit
  * on hot paths permanently.
@@ -106,8 +108,9 @@ struct FaultSpec
     uint64_t max_fires = 0;
 
     /**
-     * If > 0 this is a *delay* fault: a firing hit sleeps this long
-     * and then succeeds instead of failing.
+     * If > 0 this is a *delay* fault: a firing hit stalls its caller
+     * this long and then succeeds instead of failing. The stall is
+     * reported by stallSeconds(), not slept by the injector.
      */
     double latency_seconds = 0.0;
 };
@@ -135,9 +138,15 @@ class FaultInjector
 
     /**
      * Record a hit at `point`; true if the point fires as an *error*
-     * fault. Delay faults sleep here and return false.
+     * fault. A firing delay fault returns false.
      */
     bool shouldFail(const std::string &point);
+
+    /**
+     * Record a hit at `point`; the `latency_seconds` of a firing
+     * delay fault, else 0. Never sleeps.
+     */
+    double stallSeconds(const std::string &point);
 
     bool armed(const std::string &point) const;
     uint64_t hits(const std::string &point) const;
@@ -145,6 +154,9 @@ class FaultInjector
 
   private:
     FaultInjector() = default;
+
+    /** Count one hit; true if it fires, with the spec's latency. */
+    bool hit(const std::string &point, double &latency_seconds);
 
     struct PointState
     {

@@ -5,6 +5,16 @@
 namespace dsi::dwrf {
 
 void
+RandomAccessSource::read(Bytes offset, Bytes len, Buffer &out) const
+{
+    if (readChecked(offset, len, out) != IoStatus::Ok) {
+        dsi_fatal("read [%llu, +%llu) unavailable",
+                  static_cast<unsigned long long>(offset),
+                  static_cast<unsigned long long>(len));
+    }
+}
+
+void
 MemorySource::read(Bytes offset, Bytes len, Buffer &out) const
 {
     dsi_assert(offset + len <= data_.size(),

@@ -30,9 +30,9 @@ struct IoRecord
 
 /**
  * Accumulates the IOs issued against a source. Sources are shared by
- * concurrent extract threads (and the hedge pool), so every method is
- * mutex-guarded; record() is a push_back under an uncontended lock,
- * negligible next to the IO it annotates.
+ * concurrent extract threads, so every method is mutex-guarded;
+ * record() is a push_back under an uncontended lock, negligible next
+ * to the IO it annotates.
  */
 class IoTrace
 {
@@ -109,10 +109,13 @@ class RandomAccessSource
     virtual Bytes size() const = 0;
 
     /**
-     * Read `len` bytes at `offset` into `out` (resized by the callee).
-     * Implementations must record the IO in their trace.
+     * Read `len` bytes at `offset` into `out` (resized by the callee),
+     * fail-stop, for callers without a recovery path. Implementations
+     * must record the IO in their trace and override read() or
+     * readChecked(), each default being written in terms of the
+     * other. The default dies unless readChecked() returns Ok.
      */
-    virtual void read(Bytes offset, Bytes len, Buffer &out) const = 0;
+    virtual void read(Bytes offset, Bytes len, Buffer &out) const;
 
     /**
      * Failure-aware variant of read(): returns Unavailable when the

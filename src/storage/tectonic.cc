@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -134,17 +133,6 @@ TectonicCluster::breakerState(NodeId id) const
     dsi_assert(id < breakers_.size(), "no node %u", id);
     std::scoped_lock lock(io_mutex_);
     return breakers_[id].state();
-}
-
-void
-TectonicCluster::submitHedge(std::function<void()> task) const
-{
-    {
-        std::scoped_lock lock(hedge_mutex_);
-        if (!hedge_pool_)
-            hedge_pool_ = std::make_unique<ThreadPool>(4);
-    }
-    hedge_pool_->submit(std::move(task));
 }
 
 void
@@ -1100,24 +1088,12 @@ TectonicSource::size() const
     return cluster_.fileSize(name_);
 }
 
-void
-TectonicSource::read(Bytes offset, Bytes len, dwrf::Buffer &out) const
-{
-    // Legacy fail-stop contract for callers without a recovery path.
-    dwrf::IoStatus status = readChecked(offset, len, out);
-    if (status != dwrf::IoStatus::Ok) {
-        dsi_fatal("read [%llu, +%llu) of '%s' lost: all replicas down",
-                  static_cast<unsigned long long>(offset),
-                  static_cast<unsigned long long>(len), name_.c_str());
-    }
-}
-
 dwrf::IoStatus
 TectonicSource::readChecked(Bytes offset, Bytes len,
                             dwrf::Buffer &out) const
 {
-    // Trace exactly once per logical read, on the caller thread — a
-    // hedge backup is a tail-tolerance retry, not a second logical IO.
+    // Trace exactly once per logical read — a hedge backup is a
+    // tail-tolerance retry, not a second logical IO.
     trace_.record(offset, len);
     // The parent (the reader's stripe span) arrives through the
     // ambient context: this virtual signature cannot carry one.
@@ -1129,9 +1105,51 @@ TectonicSource::readChecked(Bytes offset, Bytes len,
         std::scoped_lock lock(cluster_.hedge_mutex_);
         hedge = cluster_.hedge_;
     }
-    if (hedge.enabled)
-        return readHedged(offset, len, out, hedge);
-    return cluster_.readFileRange(name_, offset, len, out);
+
+    // Both attempts run inline and report when they would finish
+    // (t = 0 at read start, injected stalls included), so the hedge
+    // race is arithmetic: the thread sleeps once, until the attempt
+    // it returns would finish.
+    double start = steadySeconds();
+    auto sleepUntil = [start](double t) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(start + t - steadySeconds()));
+    };
+    double trigger = hedge.enabled ? cluster_.hedgeDelaySeconds(hedge)
+                                   : 0.0;
+    double primary_s = 0.0;
+    dwrf::IoStatus primary =
+        cluster_.readFileRange(name_, offset, len, out, primary_s);
+    if (!hedge.enabled ||
+        (primary == dwrf::IoStatus::Ok && primary_s <= trigger)) {
+        sleepUntil(primary_s);
+        return primary;
+    }
+
+    // The primary outlived the trigger or failed: a backup to another
+    // replica starts at whichever came first. First success wins.
+    cluster_.metrics_.inc("tectonic.hedges_issued");
+    trace::instant(trace::events::kHedgeIssued, span.id(), offset, len);
+    dwrf::Buffer backup;
+    double backup_s = 0.0;
+    dwrf::IoStatus backup_status =
+        cluster_.readFileRange(name_, offset, len, backup, backup_s);
+    backup_s += std::min(trigger, primary_s);
+    if (backup_status == dwrf::IoStatus::Ok &&
+        (primary != dwrf::IoStatus::Ok || backup_s < primary_s)) {
+        if (backup_s < primary_s) {
+            cluster_.metrics_.inc("tectonic.hedge_wins");
+            trace::instant(trace::events::kHedgeWin, span.id(), offset,
+                           len);
+        }
+        sleepUntil(backup_s);
+        out = std::move(backup);
+        return dwrf::IoStatus::Ok;
+    }
+
+    // The backup failed or lost: the primary's verdict stands.
+    sleepUntil(primary_s);
+    return primary;
 }
 
 void
@@ -1145,89 +1163,14 @@ TectonicSource::reportCorruption(Bytes offset, Bytes len) const
 }
 
 dwrf::IoStatus
-TectonicSource::readHedged(Bytes offset, Bytes len, dwrf::Buffer &out,
-                           const HedgeOptions &hedge) const
-{
-    struct HedgeState
-    {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool primary_done = false;
-        dwrf::IoStatus primary_status = dwrf::IoStatus::Unavailable;
-        dwrf::Buffer primary_out;
-    };
-    auto state = std::make_shared<HedgeState>();
-    // The primary runs on the hedge pool and may outlive this source
-    // (a laggard stuck in an injected delay), so it captures the
-    // cluster and file name by value — never `this`. The caller's
-    // storage.read span is re-established as the ambient parent on
-    // the pool thread so fault/breaker instants keep their lineage.
-    trace::SpanId read_span = trace::currentParent();
-    cluster_.submitHedge(
-        [state, cluster = &cluster_, name = name_, offset, len,
-         read_span] {
-            trace::ScopedParent ambient(read_span);
-            dwrf::Buffer buf;
-            dwrf::IoStatus status =
-                cluster->readFileRange(name, offset, len, buf);
-            {
-                std::scoped_lock lock(state->mutex);
-                state->primary_status = status;
-                state->primary_out = std::move(buf);
-                state->primary_done = true;
-            }
-            state->cv.notify_all();
-        });
-
-    double delay = cluster_.hedgeDelaySeconds(hedge);
-    {
-        std::unique_lock lock(state->mutex);
-        state->cv.wait_for(lock, std::chrono::duration<double>(delay),
-                           [&] { return state->primary_done; });
-        if (state->primary_done &&
-            state->primary_status == dwrf::IoStatus::Ok) {
-            out = std::move(state->primary_out);
-            return dwrf::IoStatus::Ok;
-        }
-    }
-
-    // The primary is a laggard (or already failed): issue the backup
-    // inline. First success wins.
-    cluster_.metrics_.inc("tectonic.hedges_issued");
-    trace::instant(trace::events::kHedgeIssued, read_span, offset,
-                   len);
-    dwrf::Buffer backup;
-    dwrf::IoStatus backup_status =
-        cluster_.readFileRange(name_, offset, len, backup);
-    if (backup_status == dwrf::IoStatus::Ok) {
-        bool primary_won;
-        {
-            std::scoped_lock lock(state->mutex);
-            primary_won = state->primary_done;
-        }
-        if (!primary_won) {
-            cluster_.metrics_.inc("tectonic.hedge_wins");
-            trace::instant(trace::events::kHedgeWin, read_span,
-                           offset, len);
-        }
-        out = std::move(backup);
-        return dwrf::IoStatus::Ok;
-    }
-
-    // Backup failed too — the primary's verdict is all that's left.
-    std::unique_lock lock(state->mutex);
-    state->cv.wait(lock, [&] { return state->primary_done; });
-    out = std::move(state->primary_out);
-    return state->primary_status;
-}
-
-dwrf::IoStatus
 TectonicCluster::readFileRange(const std::string &name, Bytes offset,
-                               Bytes len, dwrf::Buffer &out) const
+                               Bytes len, dwrf::Buffer &out,
+                               double &latency_s) const
 {
     double start = steadySeconds();
-    // Slow-replica fault: stalls here, then the read proceeds.
-    faultPoint(faults::kTectonicReadDelay);
+    // Slow-replica fault: the attempt finishes this much later.
+    double stall =
+        FaultInjector::instance().stallSeconds(faults::kTectonicReadDelay);
 
     // The namespace lookup runs under meta_mutex_; the reference
     // stays valid after release because map nodes are pointer-stable
@@ -1283,7 +1226,8 @@ TectonicCluster::readFileRange(const std::string &name, Bytes offset,
     }
     if (any_corrupt)
         metrics_.inc("storage.corrupt_served");
-    read_latency_.add(steadySeconds() - start);
+    latency_s = steadySeconds() - start + stall;
+    read_latency_.add(latency_s);
     // Deaths injected mid-routing (io_mutex_ held there) sweep here,
     // where no locks are held.
     if (deaths_pending_.load(std::memory_order_acquire))

@@ -47,7 +47,6 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "dwrf/source.h"
 #include "sim/device.h"
@@ -197,8 +196,10 @@ class TectonicCluster;
  * cannot all be served by live replicas returns IoStatus::Unavailable
  * instead of aborting, and armed fault points (tectonic.read.*,
  * tectonic.replica.*, tectonic.node.die) can inject corruption,
- * replica errors, permanent node death, and latency. read() keeps the
- * legacy fail-stop contract for callers without a recovery path.
+ * replica errors, permanent node death, and latency. It is the one
+ * read path: hedged and unhedged reads both run inline on the calling
+ * thread. The inherited read() is its fail-stop wrapper for callers
+ * without a recovery path.
  *
  * reportCorruption() closes the loop with the DWRF reader: a stream
  * failing its footer CRC audits the replicas of the covered blocks,
@@ -210,7 +211,6 @@ class TectonicSource : public dwrf::RandomAccessSource
     TectonicSource(const TectonicCluster &cluster, std::string name);
 
     Bytes size() const override;
-    void read(Bytes offset, Bytes len, dwrf::Buffer &out) const override;
     dwrf::IoStatus readChecked(Bytes offset, Bytes len,
                                dwrf::Buffer &out) const override;
     void reportCorruption(Bytes offset, Bytes len) const override;
@@ -218,11 +218,6 @@ class TectonicSource : public dwrf::RandomAccessSource
     void clearTrace() override { trace_.clear(); }
 
   private:
-    /** One attempt, hedged with a backup to another replica under
-     * `hedge` (the caller's snapshot of the cluster's options). */
-    dwrf::IoStatus readHedged(Bytes offset, Bytes len, dwrf::Buffer &out,
-                              const HedgeOptions &hedge) const;
-
     const TectonicCluster &cluster_;
     std::string name_;
     mutable dwrf::IoTrace trace_;
@@ -488,18 +483,17 @@ class TectonicCluster
     /**
      * One full logical read attempt of a stored file range: delay
      * fault, byte copy, corruption fault, block fan-out with replica
-     * routing. Latency is recorded in read_latency_. Lives on the
-     * cluster (not the source) so hedge backup attempts can run on
-     * pool threads that may outlive the TectonicSource that asked.
+     * routing. An injected delay is not slept: `latency_s` is set to
+     * the attempt's elapsed time plus the stall, which is also what
+     * read_latency_ records, and the caller decides when to wait it
+     * out.
      */
     dwrf::IoStatus readFileRange(const std::string &name, Bytes offset,
-                                 Bytes len, dwrf::Buffer &out) const;
+                                 Bytes len, dwrf::Buffer &out,
+                                 double &latency_s) const;
 
     /** The hedge trigger under `hedge` (lock-free). */
     double hedgeDelaySeconds(const HedgeOptions &hedge) const;
-
-    /** Run a hedge primary on the (lazily created) hedge pool. */
-    void submitHedge(std::function<void()> task) const;
 
     /** One replica IO attempt; breaker-, health- and fault-aware.
      * Caller holds io_mutex_. */
@@ -624,17 +618,13 @@ class TectonicCluster
     // a read nor arming a hedge slows down as the cluster ages.
     mutable std::vector<CircuitBreaker> breakers_;
     mutable LogLinearHistogram read_latency_;
-    mutable std::mutex hedge_mutex_; ///< guards hedge_ and pool init
+    mutable std::mutex hedge_mutex_; ///< guards hedge_
     HedgeOptions hedge_;
 
     // Background healer lifecycle (guarded by healer_mutex_).
     mutable std::mutex healer_mutex_;
     mutable std::unique_ptr<std::thread> healer_;
     mutable std::atomic<bool> healer_stop_{false};
-
-    // Declared last: destroyed first, joining in-flight hedge
-    // primaries while the rest of the cluster is still alive.
-    mutable std::unique_ptr<ThreadPool> hedge_pool_;
 };
 
 } // namespace dsi::storage

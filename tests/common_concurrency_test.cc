@@ -295,9 +295,9 @@ TEST(LogLinearHistogram, ConcurrentAddsAndPercentilesAreExact)
 
 TEST(IoTrace, ConcurrentRecordAndInspectIsRaceFree)
 {
-    // Regression: IoTrace is shared by concurrent extract threads and
-    // the hedge pool. Writers record() while readers take snapshots
-    // and distributions — under TSan this flags any unguarded access.
+    // Regression: IoTrace is shared by concurrent extract threads.
+    // Writers record() while readers take snapshots and
+    // distributions — under TSan this flags any unguarded access.
     dwrf::IoTrace trace;
     constexpr int kWriters = 4;
     constexpr int kReaders = 3;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "common/fault.h"
@@ -94,24 +93,23 @@ TEST_F(FaultTest, RearmResetsCounters)
     EXPECT_EQ(inj.hits("r"), 1u);
 }
 
-TEST_F(FaultTest, LatencyFaultSleepsButDoesNotFail)
+TEST_F(FaultTest, LatencyFaultReportsStallButDoesNotFail)
 {
     auto &inj = FaultInjector::instance();
     FaultSpec spec;
     spec.probability = 1.0;
     spec.latency_seconds = 0.02;
-    spec.max_fires = 1;
+    spec.max_fires = 2;
     inj.arm("slow", spec);
-    auto t0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(inj.shouldFail("slow")); // delays, never errors
-    auto elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-    EXPECT_GE(elapsed, 0.015);
-    EXPECT_EQ(inj.fires("slow"), 1u);
-    // Capped: the next hit is instant.
+    // The stall is reported, never slept, and never an error.
+    EXPECT_EQ(inj.stallSeconds("slow"), 0.02);
+    EXPECT_FALSE(inj.shouldFail("slow")); // fires as a delay
+    EXPECT_EQ(inj.fires("slow"), 2u);
+    // Capped: later hits report no stall.
+    EXPECT_EQ(inj.stallSeconds("slow"), 0.0);
     EXPECT_FALSE(inj.shouldFail("slow"));
-    EXPECT_EQ(inj.fires("slow"), 1u);
+    EXPECT_EQ(inj.hits("slow"), 4u);
+    EXPECT_EQ(inj.fires("slow"), 2u);
 }
 
 TEST_F(FaultTest, ScopedFaultDisarmsOnExit)

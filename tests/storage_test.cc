@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "common/fault.h"
 #include "dwrf/reader.h"
@@ -194,7 +195,7 @@ TEST(Tectonic, AllReplicasDownIsFatal)
     cluster.failNode(1);
     auto src = cluster.open("f");
     dwrf::Buffer out;
-    EXPECT_DEATH(src->read(0, 16, out), "all replicas down");
+    EXPECT_DEATH(src->read(0, 16, out), "read \\[0, \\+16\\) unavailable");
 }
 
 TEST(Tectonic, AllReplicasDownIsRecoverableViaCheckedRead)
@@ -265,6 +266,97 @@ TEST(Tectonic, HedgeTriggerFollowsReadLatencyHistogram)
     EXPECT_GE(delay, kHeld);
     EXPECT_LE(delay,
               slowest * (1.0 + 1.0 / LogLinearHistogram::kSubBuckets));
+}
+
+TEST(Tectonic, HedgedBackupWinLeavesNoLaggardBehind)
+{
+    // A primary stalled for 1 s loses to its backup. The read returns
+    // with the backup's bytes, and the stall it raced leaves nothing
+    // running that tearing the cluster down would have to wait for.
+    double teardown_s = 0.0;
+    {
+        auto cluster = std::make_unique<TectonicCluster>(smallCluster());
+        cluster->put("f", bytesOf(4096));
+        HedgeOptions hedge;
+        hedge.enabled = true;
+        hedge.max_delay_s = 0.001;
+        cluster->setHedging(hedge);
+        auto src = cluster->open("f");
+        dwrf::Buffer out;
+        {
+            ScopedFault slow(faults::kTectonicReadDelay,
+                             FaultSpec{.trigger_hit = 1,
+                                       .latency_seconds = 1.0});
+            auto start = std::chrono::steady_clock::now();
+            ASSERT_EQ(src->readChecked(0, 512, out), dwrf::IoStatus::Ok);
+            EXPECT_LT(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count(),
+                      0.5);
+        }
+        EXPECT_EQ(out, bytesOf(512));
+        EXPECT_EQ(cluster->metrics().counter("tectonic.hedge_wins"), 1.0);
+        auto start = std::chrono::steady_clock::now();
+        src.reset();
+        cluster.reset();
+        teardown_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    }
+    EXPECT_LT(teardown_s, 0.5);
+}
+
+TEST(Tectonic, HedgedReadOutcomes)
+{
+    // A hedged read whose primary fails issues its backup at once; the
+    // backup serves unless it fails too. The trigger sits far above a
+    // clean read, so a fast primary never hedges.
+    HedgeOptions hedge;
+    hedge.enabled = true;
+    hedge.min_delay_s = 0.05;
+    hedge.max_delay_s = 0.05;
+    auto counter = [](const TectonicCluster &c, const char *name) {
+        return c.metrics().counter(name);
+    };
+    auto read = [](const TectonicCluster &c, dwrf::Buffer &out) {
+        return c.open("f")->readChecked(0, 512, out);
+    };
+
+    {
+        // Primary fails on all three replicas; the backup serves.
+        TectonicCluster cluster(smallCluster());
+        cluster.put("f", bytesOf(4096));
+        cluster.setHedging(hedge);
+        ScopedFault err(faults::kTectonicReplicaError,
+                        FaultSpec{.max_fires = 3});
+        dwrf::Buffer out;
+        EXPECT_EQ(read(cluster, out), dwrf::IoStatus::Ok);
+        EXPECT_EQ(out, bytesOf(512));
+        EXPECT_EQ(counter(cluster, "tectonic.hedges_issued"), 1.0);
+        EXPECT_EQ(counter(cluster, "tectonic.hedge_wins"), 0.0);
+        EXPECT_EQ(counter(cluster, "tectonic.failed_reads"), 1.0);
+    }
+    {
+        // Both attempts fail: the primary's Unavailable stands.
+        TectonicCluster cluster(smallCluster());
+        cluster.put("f", bytesOf(4096));
+        cluster.setHedging(hedge);
+        ScopedFault err(faults::kTectonicReplicaError, FaultSpec{});
+        dwrf::Buffer out;
+        EXPECT_EQ(read(cluster, out), dwrf::IoStatus::Unavailable);
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(counter(cluster, "tectonic.hedges_issued"), 1.0);
+        EXPECT_EQ(counter(cluster, "tectonic.failed_reads"), 2.0);
+    }
+    {
+        // A fast primary: no backup.
+        TectonicCluster cluster(smallCluster());
+        cluster.put("f", bytesOf(4096));
+        cluster.setHedging(hedge);
+        dwrf::Buffer out;
+        EXPECT_EQ(read(cluster, out), dwrf::IoStatus::Ok);
+        EXPECT_EQ(counter(cluster, "tectonic.hedges_issued"), 0.0);
+    }
 }
 
 TEST(Tectonic, DwrfReaderWorksOverTectonic)
