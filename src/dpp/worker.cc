@@ -38,8 +38,12 @@ Worker::start()
     // Both stages get at least one thread.
     uint32_t extracters = std::max(1u, options_.num_extract_threads);
     uint32_t transformers = std::max(1u, options_.num_transform_threads);
+    // The extract -> transform hand-off, the second backpressure
+    // point: one decoded stripe per transform thread plus one read
+    // ahead. A deeper queue buys no throughput once the transform
+    // keeps up; it only holds more decoded stripes on the heap.
     stripe_queue_ = std::make_unique<BoundedQueue<ExtractedStripe>>(
-        kStripeQueueCapacity);
+        transformers + 1);
     active_extractors_ = extracters;
     active_transformers_ = transformers;
     metrics_.set("worker.extract_threads", extracters);

@@ -275,12 +275,6 @@ class Worker
 
   private:
     /**
-     * Capacity (in stripes) of the extract -> transform hand-off
-     * queue; the second backpressure point of the pipeline.
-     */
-    static constexpr size_t kStripeQueueCapacity = 8;
-
-    /**
      * One decoded stripe handed from extract to transform. Moving it
      * moves the batch's vector headers, never the column data; the
      * transform stage drops the batch when it is done.

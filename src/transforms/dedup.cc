@@ -1,7 +1,8 @@
 #include "dedup.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -35,20 +36,34 @@ rowLocal(const CompiledGraph &graph)
 
 namespace {
 
-/** FNV-1a accumulator over raw bytes. */
+/**
+ * Row hash mixed 8 bytes at a time (a short tail is zero-padded and
+ * tagged with its length). It only picks the probe sequence:
+ * rowsEqual() decides every grouping.
+ */
 struct RowHasher
 {
     uint64_t h = 0xcbf29ce484222325ULL;
 
+    void mixU64(uint64_t w)
+    {
+        h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 29;
+    }
     void mix(const void *data, size_t len)
     {
         const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < len; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ULL;
+        for (; len >= sizeof(uint64_t); p += 8, len -= 8) {
+            uint64_t w;
+            std::memcpy(&w, p, sizeof(w));
+            mixU64(w);
+        }
+        if (len > 0) {
+            uint64_t w = 0;
+            std::memcpy(&w, p, len);
+            mixU64(w ^ (static_cast<uint64_t>(len) << 56));
         }
     }
-    void mixU64(uint64_t v) { mix(&v, sizeof(v)); }
 };
 
 uint64_t
@@ -56,10 +71,12 @@ hashRow(const dwrf::RowBatch &batch, uint32_t r)
 {
     RowHasher hasher;
     for (const auto &c : batch.dense) {
+        // One word per dense column: presence bit plus value bits.
+        uint32_t bits = 0;
         bool present = c.isPresent(r);
-        hasher.mixU64(present ? 1 : 0);
         if (present)
-            hasher.mix(&c.values[r], sizeof(float));
+            std::memcpy(&bits, &c.values[r], sizeof(bits));
+        hasher.mixU64(present ? (uint64_t{1} << 32) | bits : 0);
     }
     for (const auto &c : batch.sparse) {
         uint32_t begin = c.offsets[r], end = c.offsets[r + 1];
@@ -119,26 +136,30 @@ planBatchDedup(const dwrf::RowBatch &batch)
     plan.inverse.resize(batch.rows);
     plan.unique_rows.reserve(batch.rows);
 
-    // hash -> slots in unique_rows with that hash (exact compare
-    // resolves collisions).
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    buckets.reserve(batch.rows);
+    // Open addressing over row hashes, sized once per batch (load
+    // factor <= 1/2): a probe that meets an equal hash confirms it
+    // with the exact compare, so a collision only costs a step.
+    struct Entry
+    {
+        uint64_t hash = 0;
+        uint32_t slot = UINT32_MAX; ///< UINT32_MAX: empty
+    };
+    std::vector<Entry> table(
+        std::bit_ceil(std::max<size_t>(8, 2 * size_t{batch.rows})));
+    const size_t mask = table.size() - 1;
     for (uint32_t r = 0; r < batch.rows; ++r) {
         uint64_t h = hashRow(batch, r);
-        auto &slots = buckets[h];
-        uint32_t found = UINT32_MAX;
-        for (uint32_t slot : slots) {
-            if (rowsEqual(batch, plan.unique_rows[slot], r)) {
-                found = slot;
-                break;
-            }
+        size_t i = (h ^ (h >> 32)) & mask;
+        while (table[i].slot != UINT32_MAX &&
+               !(table[i].hash == h &&
+                 rowsEqual(batch, plan.unique_rows[table[i].slot], r))) {
+            i = (i + 1) & mask;
         }
-        if (found == UINT32_MAX) {
-            found = static_cast<uint32_t>(plan.unique_rows.size());
+        if (table[i].slot == UINT32_MAX) {
+            table[i] = {h, static_cast<uint32_t>(plan.unique_rows.size())};
             plan.unique_rows.push_back(r);
-            slots.push_back(found);
         }
-        plan.inverse[r] = found;
+        plan.inverse[r] = table[i].slot;
     }
     return plan;
 }

@@ -1,6 +1,7 @@
 #include "graph.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -43,18 +44,71 @@ TransformGraph::deserialize(dwrf::ByteSpan data)
 }
 
 CompiledGraph::CompiledGraph(const TransformGraph &graph)
+    : dead_after_(graph.size())
 {
-    ops_.reserve(graph.size());
-    for (const auto &spec : graph.specs())
+    const auto &specs = graph.specs();
+    ops_.reserve(specs.size());
+    for (const auto &spec : specs)
         ops_.push_back(compileTransform(spec));
+    // last_reader[i]: the last op reading op i's output (0 = none; a
+    // reader always comes after op 0). Sampling writes no column.
+    std::vector<uint32_t> last_reader(specs.size(), 0);
+    std::unordered_map<FeatureId, std::vector<uint32_t>> producers;
+    for (uint32_t j = 0; j < specs.size(); ++j) {
+        for (FeatureId id : specs[j].inputs) {
+            auto it = producers.find(id);
+            if (it == producers.end())
+                continue;
+            for (uint32_t i : it->second)
+                last_reader[i] = j;
+        }
+        if (specs[j].kind != OpKind::Sampling)
+            producers[specs[j].output].push_back(j);
+    }
+    for (uint32_t i = 0; i < specs.size(); ++i) {
+        if (last_reader[i] != 0)
+            dead_after_[last_reader[i]].push_back(i);
+    }
 }
+
+namespace {
+
+/** Erase the newest column named `id` from `columns`. */
+template <class Column>
+void
+eraseNewest(std::vector<Column> &columns, FeatureId id)
+{
+    auto it = std::find_if(columns.rbegin(), columns.rend(),
+                           [&](const Column &c) { return c.id == id; });
+    if (it != columns.rend())
+        columns.erase(std::next(it).base());
+}
+
+} // namespace
 
 TransformStats
 CompiledGraph::apply(dwrf::RowBatch &batch) const
 {
+    enum class Wrote : uint8_t { Nothing, Dense, Sparse };
     TransformStats stats;
-    for (const auto &op : ops_)
-        op->apply(batch, stats);
+    // Which column each op appended in this call: an op whose input
+    // is missing writes nothing, so there is nothing of its to drop.
+    std::vector<Wrote> wrote(ops_.size(), Wrote::Nothing);
+    for (size_t j = 0; j < ops_.size(); ++j) {
+        size_t dense = batch.dense.size(), sparse = batch.sparse.size();
+        ops_[j]->apply(batch, stats);
+        if (batch.dense.size() > dense)
+            wrote[j] = Wrote::Dense;
+        else if (batch.sparse.size() > sparse)
+            wrote[j] = Wrote::Sparse;
+        for (uint32_t i : dead_after_[j]) {
+            FeatureId id = ops_[i]->spec().output;
+            if (wrote[i] == Wrote::Dense)
+                eraseNewest(batch.dense, id);
+            else if (wrote[i] == Wrote::Sparse)
+                eraseNewest(batch.sparse, id);
+        }
+    }
     total_.merge(stats);
     return stats;
 }

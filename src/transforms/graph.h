@@ -53,13 +53,24 @@ class TransformGraph
     std::vector<TransformSpec> specs_;
 };
 
-/** Executable form of a graph. */
+/**
+ * Executable form of a graph.
+ *
+ * Liveness is worked out once, at construction: a graph output that a
+ * later op reads is an intermediate and is dropped from the batch
+ * right after its last reader. apply() therefore leaves exactly the
+ * raw columns plus the sinks (outputs no later op reads), in their
+ * original order: the trainer contract.
+ */
 class CompiledGraph
 {
   public:
     explicit CompiledGraph(const TransformGraph &graph);
 
-    /** Apply every op in order; returns per-call stats. */
+    /**
+     * Apply every op in order, dropping each intermediate after its
+     * last reader; returns per-call stats.
+     */
     TransformStats apply(dwrf::RowBatch &batch) const;
 
     size_t size() const { return ops_.size(); }
@@ -70,6 +81,8 @@ class CompiledGraph
 
   private:
     std::vector<std::unique_ptr<Transform>> ops_;
+    /** Per op: the ops whose outputs die once it has run. */
+    std::vector<std::vector<uint32_t>> dead_after_;
     mutable TransformStats total_;
 };
 

@@ -1,8 +1,8 @@
 #include "ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -192,6 +192,29 @@ class TransformBase : public Transform
         stats.class_values[static_cast<int>(opClass())] += consumed;
     }
 
+    /**
+     * Append the sparse output laid out from per-row lengths:
+     * out.offsets gets rows + 1 entries and out.values is sized to
+     * the total before `fill(out)` writes every value by index, so no
+     * row allocates. `consumed` is the input value count.
+     */
+    template <class RowLength, class Fill>
+    void
+    emitSparse(dwrf::RowBatch &batch, TransformStats &stats,
+               uint64_t consumed, RowLength length, Fill fill) const
+    {
+        dwrf::SparseColumn out;
+        out.id = spec_.output;
+        out.offsets.resize(batch.rows + 1);
+        out.offsets[0] = 0;
+        for (uint32_t r = 0; r < batch.rows; ++r)
+            out.offsets[r + 1] = out.offsets[r] + length(r);
+        out.values.resize(out.offsets[batch.rows]);
+        fill(out);
+        account(stats, consumed, out.values.size());
+        batch.sparse.push_back(std::move(out));
+    }
+
     TransformSpec spec_;
 };
 
@@ -341,16 +364,24 @@ class OnehotOp : public TransformBase
     }
 };
 
-/** Base for ops mapping one sparse input to one sparse output. */
-class SparseUnaryOp : public TransformBase
+/** Number of list values in the first `rows` rows of `c`. */
+uint32_t
+listValues(const dwrf::SparseColumn &c, uint32_t rows)
+{
+    return rows > 0 ? c.offsets[rows] - c.offsets[0] : 0;
+}
+
+/**
+ * Base for the one-in-one-out list ops: the output has the input's
+ * offsets (rebased to 0) and one value per input value. `Op::fill`
+ * writes the whole flat array at once, so there is no per-row virtual
+ * call and no push_back.
+ */
+template <class Op>
+class ListMapOp : public TransformBase
 {
   public:
     using TransformBase::TransformBase;
-
-    /** Transform one row's list into the output list. */
-    virtual void mapList(const int64_t *values, const float *scores,
-                         uint32_t len, dwrf::SparseColumn &out) const
-        = 0;
 
     void
     apply(dwrf::RowBatch &batch, TransformStats &stats) const override
@@ -359,173 +390,189 @@ class SparseUnaryOp : public TransformBase
             batch.findSparse(spec_.inputs[0]);
         if (!in)
             return;
-        dwrf::SparseColumn out;
-        out.id = spec_.output;
-        out.offsets.assign(batch.rows + 1, 0);
-        // Most unary list ops emit at most one value per input value.
-        out.values.reserve(in->values.size());
-        if (!in->scores.empty())
-            out.scores.reserve(in->scores.size());
-        uint64_t consumed = 0;
-        for (uint32_t r = 0; r < batch.rows; ++r) {
-            uint32_t lo = in->offsets[r];
-            uint32_t len = in->offsets[r + 1] - lo;
-            consumed += len;
-            mapList(in->values.data() + lo,
-                    in->scores.empty() ? nullptr
-                                       : in->scores.data() + lo,
-                    len, out);
-            out.offsets[r + 1] =
-                static_cast<uint32_t>(out.values.size());
-        }
-        account(stats, consumed, out.values.size());
-        batch.sparse.push_back(std::move(out));
+        uint32_t lo = batch.rows > 0 ? in->offsets[0] : 0;
+        uint32_t n = listValues(*in, batch.rows);
+        const float *scores =
+            in->scores.empty() ? nullptr : in->scores.data() + lo;
+        emitSparse(
+            batch, stats, n, [&](uint32_t r) { return in->length(r); },
+            [&](dwrf::SparseColumn &out) {
+                static_cast<const Op *>(this)->fill(
+                    in->values.data() + lo, scores, n, out);
+            });
     }
 };
 
-class SigridHashOp : public SparseUnaryOp
+class SigridHashOp : public ListMapOp<SigridHashOp>
 {
   public:
-    using SparseUnaryOp::SparseUnaryOp;
+    using ListMapOp::ListMapOp;
 
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    fill(const int64_t *values, const float *, uint32_t n,
+         dwrf::SparseColumn &out) const
     {
         uint64_t max_value = spec_.u1 > 0 ? spec_.u1 : (1ULL << 31);
-        for (uint32_t i = 0; i < len; ++i) {
+        int64_t *dst = out.values.data();
+        for (uint32_t i = 0; i < n; ++i) {
             uint64_t h = sigridHash64(
                 static_cast<uint64_t>(values[i]), spec_.u0);
-            out.values.push_back(static_cast<int64_t>(h % max_value));
+            dst[i] = static_cast<int64_t>(h % max_value);
         }
     }
 };
 
-class PositiveModulusOp : public SparseUnaryOp
+class PositiveModulusOp : public ListMapOp<PositiveModulusOp>
 {
   public:
-    using SparseUnaryOp::SparseUnaryOp;
+    using ListMapOp::ListMapOp;
 
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    fill(const int64_t *values, const float *, uint32_t n,
+         dwrf::SparseColumn &out) const
     {
         int64_t m = spec_.u0 > 0 ? static_cast<int64_t>(spec_.u0)
                                  : 1000000;
-        for (uint32_t i = 0; i < len; ++i) {
+        int64_t *dst = out.values.data();
+        for (uint32_t i = 0; i < n; ++i) {
             int64_t v = values[i] % m;
-            out.values.push_back(v < 0 ? v + m : v);
+            dst[i] = v < 0 ? v + m : v;
         }
     }
 };
 
-class FirstXOp : public SparseUnaryOp
+class MapIdOp : public ListMapOp<MapIdOp>
 {
   public:
-    using SparseUnaryOp::SparseUnaryOp;
+    using ListMapOp::ListMapOp;
 
     void
-    mapList(const int64_t *values, const float *scores, uint32_t len,
-            dwrf::SparseColumn &out) const override
-    {
-        uint32_t keep = std::min<uint32_t>(
-            len, spec_.u0 > 0 ? static_cast<uint32_t>(spec_.u0) : 1);
-        for (uint32_t i = 0; i < keep; ++i) {
-            out.values.push_back(values[i]);
-            if (scores)
-                out.scores.push_back(scores[i]);
-        }
-    }
-};
-
-class MapIdOp : public SparseUnaryOp
-{
-  public:
-    using SparseUnaryOp::SparseUnaryOp;
-
-    void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    fill(const int64_t *values, const float *, uint32_t n,
+         dwrf::SparseColumn &out) const
     {
         // Fixed mapping: ids below u0 keep a remapped identity; all
         // others collapse to the default id u1.
         int64_t dict = static_cast<int64_t>(spec_.u0);
-        for (uint32_t i = 0; i < len; ++i) {
-            out.values.push_back(values[i] < dict
-                                     ? values[i] + 1
-                                     : static_cast<int64_t>(spec_.u1));
-        }
+        int64_t fallback = static_cast<int64_t>(spec_.u1);
+        int64_t *dst = out.values.data();
+        for (uint32_t i = 0; i < n; ++i)
+            dst[i] = values[i] < dict ? values[i] + 1 : fallback;
     }
 };
 
-class NGramOp : public SparseUnaryOp
+class EnumerateOp : public ListMapOp<EnumerateOp>
 {
   public:
-    using SparseUnaryOp::SparseUnaryOp;
+    using ListMapOp::ListMapOp;
 
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    fill(const int64_t *values, const float *, uint32_t n,
+         dwrf::SparseColumn &out) const
     {
-        uint32_t n = spec_.u0 >= 2 ? static_cast<uint32_t>(spec_.u0)
-                                   : 2;
-        if (len < n)
-            return;
-        for (uint32_t i = 0; i + n <= len; ++i) {
-            uint64_t h = spec_.u1; // salt
-            for (uint32_t k = 0; k < n; ++k)
-                h = sigridHash64(static_cast<uint64_t>(values[i + k]),
-                                 h);
-            out.values.push_back(
-                static_cast<int64_t>(h >> 1)); // keep positive
+        std::copy_n(values, n, out.values.data());
+        out.scores.resize(n);
+        for (size_t r = 0; r + 1 < out.offsets.size(); ++r) {
+            for (uint32_t i = out.offsets[r]; i < out.offsets[r + 1]; ++i)
+                out.scores[i] = static_cast<float>(i - out.offsets[r]);
         }
     }
 };
 
-class EnumerateOp : public SparseUnaryOp
+class ComputeScoreOp : public ListMapOp<ComputeScoreOp>
 {
   public:
-    using SparseUnaryOp::SparseUnaryOp;
+    using ListMapOp::ListMapOp;
 
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
-    {
-        for (uint32_t i = 0; i < len; ++i) {
-            out.values.push_back(values[i]);
-            out.scores.push_back(static_cast<float>(i));
-        }
-    }
-};
-
-class ComputeScoreOp : public SparseUnaryOp
-{
-  public:
-    using SparseUnaryOp::SparseUnaryOp;
-
-    void
-    mapList(const int64_t *values, const float *scores, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    fill(const int64_t *values, const float *scores, uint32_t n,
+         dwrf::SparseColumn &out) const
     {
         // score' = score * p0 + p1 (score defaults to 1 if absent)
-        for (uint32_t i = 0; i < len; ++i) {
-            out.values.push_back(values[i]);
+        std::copy_n(values, n, out.values.data());
+        out.scores.resize(n);
+        for (uint32_t i = 0; i < n; ++i) {
             double s = scores ? scores[i] : 1.0;
-            out.scores.push_back(
-                static_cast<float>(s * spec_.p0 + spec_.p1));
+            out.scores[i] = static_cast<float>(s * spec_.p0 + spec_.p1);
         }
     }
 };
 
-/** Base for ops combining two sparse inputs. */
-class SparseBinaryOp : public TransformBase
+class FirstXOp : public TransformBase
 {
   public:
     using TransformBase::TransformBase;
 
-    virtual void mapLists(const int64_t *a, uint32_t alen,
-                          const int64_t *b, uint32_t blen,
-                          dwrf::SparseColumn &out) const = 0;
+    void
+    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    {
+        const dwrf::SparseColumn *in =
+            batch.findSparse(spec_.inputs[0]);
+        if (!in)
+            return;
+        uint32_t x = spec_.u0 > 0 ? static_cast<uint32_t>(spec_.u0) : 1;
+        emitSparse(
+            batch, stats, listValues(*in, batch.rows),
+            [&](uint32_t r) { return std::min(in->length(r), x); },
+            [&](dwrf::SparseColumn &out) {
+                bool scored = !in->scores.empty();
+                if (scored)
+                    out.scores.resize(out.values.size());
+                for (uint32_t r = 0; r < batch.rows; ++r) {
+                    uint32_t lo = in->offsets[r];
+                    uint32_t dst = out.offsets[r];
+                    uint32_t keep = out.offsets[r + 1] - dst;
+                    std::copy_n(in->values.data() + lo, keep,
+                                out.values.data() + dst);
+                    if (scored)
+                        std::copy_n(in->scores.data() + lo, keep,
+                                    out.scores.data() + dst);
+                }
+            });
+    }
+};
+
+class NGramOp : public TransformBase
+{
+  public:
+    using TransformBase::TransformBase;
+
+    void
+    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    {
+        const dwrf::SparseColumn *in =
+            batch.findSparse(spec_.inputs[0]);
+        if (!in)
+            return;
+        uint32_t gram = spec_.u0 >= 2 ? static_cast<uint32_t>(spec_.u0)
+                                      : 2;
+        emitSparse(
+            batch, stats, listValues(*in, batch.rows),
+            [&](uint32_t r) {
+                uint32_t len = in->length(r);
+                return len < gram ? 0 : len - gram + 1;
+            },
+            [&](dwrf::SparseColumn &out) {
+                for (uint32_t r = 0; r < batch.rows; ++r) {
+                    const int64_t *values =
+                        in->values.data() + in->offsets[r];
+                    for (uint32_t o = out.offsets[r], i = 0;
+                         o < out.offsets[r + 1]; ++o, ++i) {
+                        uint64_t h = spec_.u1; // salt
+                        for (uint32_t k = 0; k < gram; ++k)
+                            h = sigridHash64(
+                                static_cast<uint64_t>(values[i + k]), h);
+                        // keep positive
+                        out.values[o] = static_cast<int64_t>(h >> 1);
+                    }
+                }
+            });
+    }
+};
+
+class CartesianOp : public TransformBase
+{
+  public:
+    using TransformBase::TransformBase;
 
     void
     apply(dwrf::RowBatch &batch, TransformStats &stats) const override
@@ -534,66 +581,154 @@ class SparseBinaryOp : public TransformBase
         const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
         if (!a || !b)
             return;
+        uint64_t cap = spec_.u0 > 0 ? spec_.u0 : 128;
+        emitSparse(
+            batch, stats,
+            uint64_t{listValues(*a, batch.rows)} +
+                listValues(*b, batch.rows),
+            [&](uint32_t r) {
+                return static_cast<uint32_t>(std::min<uint64_t>(
+                    cap, static_cast<uint64_t>(a->length(r)) *
+                             b->length(r)));
+            },
+            [&](dwrf::SparseColumn &out) {
+                // Row-major over (a, b) pairs, cut at `cap`.
+                for (uint32_t r = 0; r < batch.rows; ++r) {
+                    const int64_t *av = a->values.data() + a->offsets[r];
+                    const int64_t *bv = b->values.data() + b->offsets[r];
+                    uint32_t blen = b->length(r);
+                    uint32_t o = out.offsets[r], end = out.offsets[r + 1];
+                    for (uint32_t i = 0; o < end; ++i) {
+                        for (uint32_t j = 0; j < blen && o < end; ++j) {
+                            uint64_t h = sigridHash64(
+                                static_cast<uint64_t>(av[i]),
+                                static_cast<uint64_t>(bv[j]) ^ spec_.u1);
+                            out.values[o++] = static_cast<int64_t>(h >> 1);
+                        }
+                    }
+                }
+            });
+    }
+};
+
+/**
+ * Open-addressing id set for IdListTransform, built once per apply()
+ * call for the longest `b` list and reused row after row. A per-row
+ * generation stamp empties it in O(1), and each row probes only the
+ * power-of-two prefix its own list needs (load factor <= 1/2).
+ */
+class RowIdSet
+{
+  public:
+    explicit RowIdSet(uint32_t max_len) : slots_(capacityFor(max_len))
+    {
+    }
+
+    /** Start a row whose `b` list has `len` ids. */
+    void
+    reset(uint32_t len)
+    {
+        ++gen_;
+        size_t cap = capacityFor(len);
+        mask_ = cap - 1;
+        shift_ = 64 - std::countr_zero(cap);
+    }
+
+    void
+    insert(int64_t id)
+    {
+        Slot &s = find(id);
+        s.key = id;
+        s.member = gen_;
+    }
+
+    /** True the first time a member `id` is taken in this row. */
+    bool
+    take(int64_t id)
+    {
+        Slot &s = find(id);
+        if (s.member != gen_ || s.taken == gen_)
+            return false;
+        s.taken = gen_;
+        return true;
+    }
+
+  private:
+    struct Slot
+    {
+        int64_t key = 0;
+        uint32_t member = 0; ///< == gen_: `key` is in this row's set
+        uint32_t taken = 0;  ///< == gen_: `key` was emitted this row
+    };
+
+    static size_t
+    capacityFor(uint32_t len)
+    {
+        return std::bit_ceil(std::max<size_t>(8, 2 * size_t{len}));
+    }
+
+    /** The slot holding `id`, or the empty slot where it would go. */
+    Slot &
+    find(int64_t id)
+    {
+        size_t i = (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >>
+                   shift_;
+        while (slots_[i].member == gen_ && slots_[i].key != id)
+            i = (i + 1) & mask_;
+        return slots_[i];
+    }
+
+    std::vector<Slot> slots_;
+    uint32_t gen_ = 0;
+    size_t mask_ = 0;
+    int shift_ = 64;
+};
+
+class IdListTransformOp : public TransformBase
+{
+  public:
+    using TransformBase::TransformBase;
+
+    void
+    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    {
+        const dwrf::SparseColumn *a = batch.findSparse(spec_.inputs[0]);
+        const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
+        if (!a || !b)
+            return;
+        // Intersection of the two id lists, in a's order, each id
+        // once. The output is at most `a`, so it is sized once and
+        // trimmed at the end.
+        uint32_t max_b = 0;
+        for (uint32_t r = 0; r < batch.rows; ++r)
+            max_b = std::max(max_b, b->length(r));
+        RowIdSet set(max_b);
         dwrf::SparseColumn out;
         out.id = spec_.output;
         out.offsets.assign(batch.rows + 1, 0);
-        out.values.reserve(a->values.size());
-        uint64_t consumed = 0;
+        out.values.resize(listValues(*a, batch.rows));
+        uint32_t n = 0;
         for (uint32_t r = 0; r < batch.rows; ++r) {
-            uint32_t alo = a->offsets[r];
-            uint32_t alen = a->offsets[r + 1] - alo;
-            uint32_t blo = b->offsets[r];
-            uint32_t blen = b->offsets[r + 1] - blo;
-            consumed += alen + blen;
-            mapLists(a->values.data() + alo, alen,
-                     b->values.data() + blo, blen, out);
-            out.offsets[r + 1] =
-                static_cast<uint32_t>(out.values.size());
-        }
-        account(stats, consumed, out.values.size());
-        batch.sparse.push_back(std::move(out));
-    }
-};
-
-class CartesianOp : public SparseBinaryOp
-{
-  public:
-    using SparseBinaryOp::SparseBinaryOp;
-
-    void
-    mapLists(const int64_t *a, uint32_t alen, const int64_t *b,
-             uint32_t blen, dwrf::SparseColumn &out) const override
-    {
-        uint64_t cap = spec_.u0 > 0 ? spec_.u0 : 128;
-        uint64_t emitted = 0;
-        for (uint32_t i = 0; i < alen && emitted < cap; ++i) {
-            for (uint32_t j = 0; j < blen && emitted < cap; ++j) {
-                uint64_t h = sigridHash64(
-                    static_cast<uint64_t>(a[i]),
-                    static_cast<uint64_t>(b[j]) ^ spec_.u1);
-                out.values.push_back(static_cast<int64_t>(h >> 1));
-                ++emitted;
+            uint32_t alen = a->length(r), blen = b->length(r);
+            if (alen > 0 && blen > 0) {
+                const int64_t *av = a->values.data() + a->offsets[r];
+                const int64_t *bv = b->values.data() + b->offsets[r];
+                set.reset(blen);
+                for (uint32_t j = 0; j < blen; ++j)
+                    set.insert(bv[j]);
+                for (uint32_t i = 0; i < alen; ++i) {
+                    if (set.take(av[i]))
+                        out.values[n++] = av[i];
+                }
             }
+            out.offsets[r + 1] = n;
         }
-    }
-};
-
-class IdListTransformOp : public SparseBinaryOp
-{
-  public:
-    using SparseBinaryOp::SparseBinaryOp;
-
-    void
-    mapLists(const int64_t *a, uint32_t alen, const int64_t *b,
-             uint32_t blen, dwrf::SparseColumn &out) const override
-    {
-        // Intersection of the two id lists, preserving a's order.
-        std::unordered_set<int64_t> bset(b, b + blen);
-        std::unordered_set<int64_t> emitted;
-        for (uint32_t i = 0; i < alen; ++i) {
-            if (bset.count(a[i]) && emitted.insert(a[i]).second)
-                out.values.push_back(a[i]);
-        }
+        out.values.resize(n);
+        account(stats,
+                uint64_t{listValues(*a, batch.rows)} +
+                    listValues(*b, batch.rows),
+                n);
+        batch.sparse.push_back(std::move(out));
     }
 };
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstring>
+#include <unordered_set>
 
+#include "common/rng.h"
 #include "transforms/graph.h"
 #include "transforms/ops.h"
 #include "warehouse/datagen.h"
@@ -446,6 +450,539 @@ TEST(Graph, MakeModelGraphShape)
     EXPECT_GT(stats.values_produced, 0u);
     // Feature generation should dominate consumed values.
     EXPECT_GT(stats.classShare(OpClass::FeatureGeneration), 0.4);
+}
+
+// ---------------------------------------------------------------
+// Reference kernels for the differential tests: the plain per-row
+// form of every list op (a virtual mapList per row, push_back
+// output, two unordered_sets per IdListTransform row). The flat
+// kernels in ops.cc must match them bit for bit. Test code only.
+// ---------------------------------------------------------------
+namespace oracle {
+
+/** Shared base: holds the spec and stats plumbing. */
+class TransformBase : public Transform
+{
+  public:
+    explicit TransformBase(TransformSpec spec) : spec_(std::move(spec))
+    {
+    }
+    const TransformSpec &spec() const override { return spec_; }
+
+  protected:
+    void
+    account(TransformStats &stats, uint64_t consumed,
+            uint64_t produced) const
+    {
+        stats.values_consumed += consumed;
+        stats.values_produced += produced;
+        stats.class_values[static_cast<int>(opClass())] += consumed;
+    }
+
+    TransformSpec spec_;
+};
+
+/** Base for ops mapping one sparse input to one sparse output. */
+class SparseUnaryOp : public TransformBase
+{
+  public:
+    using TransformBase::TransformBase;
+
+    /** Transform one row's list into the output list. */
+    virtual void mapList(const int64_t *values, const float *scores,
+                         uint32_t len, dwrf::SparseColumn &out) const
+        = 0;
+
+    void
+    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    {
+        const dwrf::SparseColumn *in =
+            batch.findSparse(spec_.inputs[0]);
+        if (!in)
+            return;
+        dwrf::SparseColumn out;
+        out.id = spec_.output;
+        out.offsets.assign(batch.rows + 1, 0);
+        // Most unary list ops emit at most one value per input value.
+        out.values.reserve(in->values.size());
+        if (!in->scores.empty())
+            out.scores.reserve(in->scores.size());
+        uint64_t consumed = 0;
+        for (uint32_t r = 0; r < batch.rows; ++r) {
+            uint32_t lo = in->offsets[r];
+            uint32_t len = in->offsets[r + 1] - lo;
+            consumed += len;
+            mapList(in->values.data() + lo,
+                    in->scores.empty() ? nullptr
+                                       : in->scores.data() + lo,
+                    len, out);
+            out.offsets[r + 1] =
+                static_cast<uint32_t>(out.values.size());
+        }
+        account(stats, consumed, out.values.size());
+        batch.sparse.push_back(std::move(out));
+    }
+};
+
+class SigridHashOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        uint64_t max_value = spec_.u1 > 0 ? spec_.u1 : (1ULL << 31);
+        for (uint32_t i = 0; i < len; ++i) {
+            uint64_t h = sigridHash64(
+                static_cast<uint64_t>(values[i]), spec_.u0);
+            out.values.push_back(static_cast<int64_t>(h % max_value));
+        }
+    }
+};
+
+class PositiveModulusOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        int64_t m = spec_.u0 > 0 ? static_cast<int64_t>(spec_.u0)
+                                 : 1000000;
+        for (uint32_t i = 0; i < len; ++i) {
+            int64_t v = values[i] % m;
+            out.values.push_back(v < 0 ? v + m : v);
+        }
+    }
+};
+
+class FirstXOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *scores, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        uint32_t keep = std::min<uint32_t>(
+            len, spec_.u0 > 0 ? static_cast<uint32_t>(spec_.u0) : 1);
+        for (uint32_t i = 0; i < keep; ++i) {
+            out.values.push_back(values[i]);
+            if (scores)
+                out.scores.push_back(scores[i]);
+        }
+    }
+};
+
+class MapIdOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        // Fixed mapping: ids below u0 keep a remapped identity; all
+        // others collapse to the default id u1.
+        int64_t dict = static_cast<int64_t>(spec_.u0);
+        for (uint32_t i = 0; i < len; ++i) {
+            out.values.push_back(values[i] < dict
+                                     ? values[i] + 1
+                                     : static_cast<int64_t>(spec_.u1));
+        }
+    }
+};
+
+class NGramOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        uint32_t n = spec_.u0 >= 2 ? static_cast<uint32_t>(spec_.u0)
+                                   : 2;
+        if (len < n)
+            return;
+        for (uint32_t i = 0; i + n <= len; ++i) {
+            uint64_t h = spec_.u1; // salt
+            for (uint32_t k = 0; k < n; ++k)
+                h = sigridHash64(static_cast<uint64_t>(values[i + k]),
+                                 h);
+            out.values.push_back(
+                static_cast<int64_t>(h >> 1)); // keep positive
+        }
+    }
+};
+
+class EnumerateOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        for (uint32_t i = 0; i < len; ++i) {
+            out.values.push_back(values[i]);
+            out.scores.push_back(static_cast<float>(i));
+        }
+    }
+};
+
+class ComputeScoreOp : public SparseUnaryOp
+{
+  public:
+    using SparseUnaryOp::SparseUnaryOp;
+
+    void
+    mapList(const int64_t *values, const float *scores, uint32_t len,
+            dwrf::SparseColumn &out) const override
+    {
+        // score' = score * p0 + p1 (score defaults to 1 if absent)
+        for (uint32_t i = 0; i < len; ++i) {
+            out.values.push_back(values[i]);
+            double s = scores ? scores[i] : 1.0;
+            out.scores.push_back(
+                static_cast<float>(s * spec_.p0 + spec_.p1));
+        }
+    }
+};
+
+/** Base for ops combining two sparse inputs. */
+class SparseBinaryOp : public TransformBase
+{
+  public:
+    using TransformBase::TransformBase;
+
+    virtual void mapLists(const int64_t *a, uint32_t alen,
+                          const int64_t *b, uint32_t blen,
+                          dwrf::SparseColumn &out) const = 0;
+
+    void
+    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    {
+        const dwrf::SparseColumn *a = batch.findSparse(spec_.inputs[0]);
+        const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
+        if (!a || !b)
+            return;
+        dwrf::SparseColumn out;
+        out.id = spec_.output;
+        out.offsets.assign(batch.rows + 1, 0);
+        out.values.reserve(a->values.size());
+        uint64_t consumed = 0;
+        for (uint32_t r = 0; r < batch.rows; ++r) {
+            uint32_t alo = a->offsets[r];
+            uint32_t alen = a->offsets[r + 1] - alo;
+            uint32_t blo = b->offsets[r];
+            uint32_t blen = b->offsets[r + 1] - blo;
+            consumed += alen + blen;
+            mapLists(a->values.data() + alo, alen,
+                     b->values.data() + blo, blen, out);
+            out.offsets[r + 1] =
+                static_cast<uint32_t>(out.values.size());
+        }
+        account(stats, consumed, out.values.size());
+        batch.sparse.push_back(std::move(out));
+    }
+};
+
+class CartesianOp : public SparseBinaryOp
+{
+  public:
+    using SparseBinaryOp::SparseBinaryOp;
+
+    void
+    mapLists(const int64_t *a, uint32_t alen, const int64_t *b,
+             uint32_t blen, dwrf::SparseColumn &out) const override
+    {
+        uint64_t cap = spec_.u0 > 0 ? spec_.u0 : 128;
+        uint64_t emitted = 0;
+        for (uint32_t i = 0; i < alen && emitted < cap; ++i) {
+            for (uint32_t j = 0; j < blen && emitted < cap; ++j) {
+                uint64_t h = sigridHash64(
+                    static_cast<uint64_t>(a[i]),
+                    static_cast<uint64_t>(b[j]) ^ spec_.u1);
+                out.values.push_back(static_cast<int64_t>(h >> 1));
+                ++emitted;
+            }
+        }
+    }
+};
+
+class IdListTransformOp : public SparseBinaryOp
+{
+  public:
+    using SparseBinaryOp::SparseBinaryOp;
+
+    void
+    mapLists(const int64_t *a, uint32_t alen, const int64_t *b,
+             uint32_t blen, dwrf::SparseColumn &out) const override
+    {
+        // Intersection of the two id lists, preserving a's order.
+        std::unordered_set<int64_t> bset(b, b + blen);
+        std::unordered_set<int64_t> emitted;
+        for (uint32_t i = 0; i < alen; ++i) {
+            if (bset.count(a[i]) && emitted.insert(a[i]).second)
+                out.values.push_back(a[i]);
+        }
+    }
+};
+
+/** The reference op for `spec`, or null for a kind not rewritten. */
+std::unique_ptr<Transform>
+compile(const TransformSpec &spec)
+{
+    switch (spec.kind) {
+      case OpKind::SigridHash:
+        return std::make_unique<SigridHashOp>(spec);
+      case OpKind::PositiveModulus:
+        return std::make_unique<PositiveModulusOp>(spec);
+      case OpKind::FirstX:
+        return std::make_unique<FirstXOp>(spec);
+      case OpKind::MapId:
+        return std::make_unique<MapIdOp>(spec);
+      case OpKind::NGram:
+        return std::make_unique<NGramOp>(spec);
+      case OpKind::Enumerate:
+        return std::make_unique<EnumerateOp>(spec);
+      case OpKind::ComputeScore:
+        return std::make_unique<ComputeScoreOp>(spec);
+      case OpKind::Cartesian:
+        return std::make_unique<CartesianOp>(spec);
+      case OpKind::IdListTransform:
+        return std::make_unique<IdListTransformOp>(spec);
+      default:
+        return nullptr;
+    }
+}
+
+} // namespace oracle
+
+// --- Per-op differential tests: flat kernels vs the reference ---
+
+constexpr FeatureId kA = 10, kB = 11;
+
+using Lists = std::vector<std::vector<int64_t>>;
+
+/**
+ * A batch holding two sparse columns, `a` (id 10) and `b` (id 11),
+ * one list per row. Scored columns get a score per value, with
+ * negative, fractional and signed-zero scores among them.
+ */
+dwrf::RowBatch
+listBatch(const Lists &a, const Lists &b, bool scored)
+{
+    dwrf::RowBatch batch;
+    batch.rows = static_cast<uint32_t>(a.size());
+    batch.labels.assign(batch.rows, 0.0f);
+    for (const auto *lists : {&a, &b}) {
+        dwrf::SparseColumn c;
+        c.id = lists == &a ? kA : kB;
+        c.offsets.push_back(0);
+        for (const auto &list : *lists) {
+            c.values.insert(c.values.end(), list.begin(), list.end());
+            c.offsets.push_back(static_cast<uint32_t>(c.values.size()));
+        }
+        if (scored) {
+            for (size_t i = 0; i < c.values.size(); ++i)
+                c.scores.push_back(i % 5 == 0 ? -0.0f
+                                              : static_cast<float>(
+                                                    c.values[i] % 9) *
+                                                    0.37f);
+        }
+        batch.sparse.push_back(std::move(c));
+    }
+    return batch;
+}
+
+/** Adversarial list batches, each as a pair of per-row lists. */
+std::vector<std::pair<std::string, std::pair<Lists, Lists>>>
+adversarialLists()
+{
+    const int64_t lo = INT64_MIN, hi = INT64_MAX;
+    std::vector<std::pair<std::string, std::pair<Lists, Lists>>> out;
+    out.push_back({"repeats",
+                   {{{5, 5, 7, 5, 9, 7}, {1, 2, 2, 1}, {3, 3, 3}},
+                    {{7, 7, 5, 3, 5}, {2, 2, 1, 1}, {3}}}});
+    out.push_back({"empty_a_or_b",
+                   {{{}, {4, 5}, {}, {6}, {}},
+                    {{4, 5}, {}, {}, {6, 6}, {1}}}});
+    out.push_back({"zero_rows", {{}, {}}});
+    {
+        // One row of 1,500 ids among empty rows; its b list is long
+        // too and overlaps a with repeats on both sides.
+        Lists a(9), b(9);
+        for (int64_t i = 0; i < 1500; ++i)
+            a[4].push_back((i * 7919) % 1009 - 500);
+        for (int64_t i = 0; i < 1200; ++i)
+            b[4].push_back((i * 104729) % 1013 - 480);
+        out.push_back({"one_long_row", {a, b}});
+    }
+    out.push_back({"extremes",
+                   {{{lo, hi, -1, 0, lo, hi, -7},
+                     {hi, hi},
+                     {lo},
+                     {-1, -2, -3, -2}},
+                    {{hi, 0, lo, lo},
+                     {lo, hi, hi},
+                     {lo, hi},
+                     {-2, -2, -4}}}});
+    {
+        Rng rng(77);
+        const int64_t domain[] = {lo, hi, lo + 1, hi - 1, -1, 0, 1};
+        Lists a(64), b(64);
+        for (auto *lists : {&a, &b}) {
+            for (auto &list : *lists) {
+                uint64_t len = rng.nextUint(41);
+                for (uint64_t i = 0; i < len; ++i) {
+                    list.push_back(
+                        rng.nextBool(0.1)
+                            ? domain[rng.nextUint(7)]
+                            : static_cast<int64_t>(rng.nextUint(41)) - 20);
+                }
+            }
+        }
+        out.push_back({"random", {a, b}});
+    }
+    return out;
+}
+
+/** The rewritten ops, each with parameters that hit its edges. */
+std::vector<TransformSpec>
+rewrittenOpSpecs()
+{
+    std::vector<TransformSpec> specs;
+    auto add = [&](OpKind kind, std::vector<FeatureId> in, uint64_t u0,
+                   uint64_t u1, double p0 = 0.0, double p1 = 0.0) {
+        TransformSpec s = spec(kind, std::move(in), 100);
+        s.u0 = u0;
+        s.u1 = u1;
+        s.p0 = p0;
+        s.p1 = p1;
+        specs.push_back(s);
+    };
+    // SigridHash: power-of-two moduli, others, and the default.
+    for (uint64_t m : {uint64_t{1} << 22, uint64_t{1}, uint64_t{0},
+                       uint64_t{1000003}, uint64_t{3},
+                       ~uint64_t{0}}) {
+        add(OpKind::SigridHash, {kA}, 0x1234abcd, m);
+    }
+    for (uint64_t m : {uint64_t{1} << 20, uint64_t{1}, uint64_t{0},
+                       uint64_t{1000}, uint64_t{7}, uint64_t{1} << 62}) {
+        add(OpKind::PositiveModulus, {kA}, m, 0);
+    }
+    for (uint64_t x : {0, 1, 3, 2000})
+        add(OpKind::FirstX, {kA}, x, 0);
+    add(OpKind::MapId, {kA}, 1u << 18, 1);
+    add(OpKind::MapId, {kA}, 0, ~uint64_t{0});
+    add(OpKind::MapId, {kA}, uint64_t{1} << 63, 5);
+    for (uint64_t n : {0, 2, 3, 5})
+        add(OpKind::NGram, {kA}, n, 0x5eed);
+    add(OpKind::Enumerate, {kA}, 0, 0);
+    add(OpKind::ComputeScore, {kA}, 0, 0, 1.7, 0.3);
+    add(OpKind::ComputeScore, {kA}, 0, 0, -0.5, -2.25);
+    for (uint64_t cap : {0, 1, 5, 64, 100000}) {
+        add(OpKind::Cartesian, {kA, kB}, cap, 0xfeed);
+        add(OpKind::Cartesian, {kB, kA}, cap, 0xfeed);
+    }
+    add(OpKind::IdListTransform, {kA, kB}, 0, 0);
+    add(OpKind::IdListTransform, {kB, kA}, 0, 0);
+    add(OpKind::IdListTransform, {kA, kA}, 0, 0);
+    return specs;
+}
+
+/** Bitwise equality of two batches' sparse columns and stats. */
+void
+expectSameOutput(const dwrf::RowBatch &got, const TransformStats &got_st,
+                 const dwrf::RowBatch &want,
+                 const TransformStats &want_st)
+{
+    ASSERT_EQ(got.sparse.size(), want.sparse.size());
+    for (size_t i = 0; i < got.sparse.size(); ++i) {
+        const auto &g = got.sparse[i];
+        const auto &w = want.sparse[i];
+        EXPECT_EQ(g.id, w.id);
+        EXPECT_EQ(g.offsets, w.offsets);
+        EXPECT_EQ(g.values, w.values);
+        ASSERT_EQ(g.scores.size(), w.scores.size());
+        if (!g.scores.empty()) { // bitwise: -0.0f must stay -0.0f
+            EXPECT_EQ(std::memcmp(g.scores.data(), w.scores.data(),
+                                  g.scores.size() * sizeof(float)),
+                      0);
+        }
+    }
+    EXPECT_EQ(got_st.values_consumed, want_st.values_consumed);
+    EXPECT_EQ(got_st.values_produced, want_st.values_produced);
+    for (int c = 0; c < 4; ++c)
+        EXPECT_EQ(got_st.class_values[c], want_st.class_values[c]);
+}
+
+TEST(OpsDifferential, FlatKernelsMatchReferenceOnAdversarialLists)
+{
+    auto cases = adversarialLists();
+    for (const TransformSpec &s : rewrittenOpSpecs()) {
+        auto flat = compileTransform(s);
+        auto ref = oracle::compile(s);
+        ASSERT_NE(ref, nullptr);
+        for (const auto &[name, lists] : cases) {
+            for (bool scored : {false, true}) {
+                SCOPED_TRACE(std::string(opKindName(s.kind)) + " u0=" +
+                             std::to_string(s.u0) + " u1=" +
+                             std::to_string(s.u1) + " on " + name +
+                             (scored ? " (scored)" : " (unscored)"));
+                auto got = listBatch(lists.first, lists.second, scored);
+                auto want = got;
+                TransformStats got_st, want_st;
+                flat->apply(got, got_st);
+                ref->apply(want, want_st);
+                expectSameOutput(got, got_st, want, want_st);
+            }
+        }
+    }
+}
+
+TEST(OpsDifferential, IdListTransformKeepsOrderAndDropsRepeats)
+{
+    auto batch = listBatch({{9, 4, 9, 2, 4, 7}}, {{4, 9, 4, 2}}, false);
+    TransformStats stats;
+    compileTransform(spec(OpKind::IdListTransform, {kA, kB}, 100))
+        ->apply(batch, stats);
+    EXPECT_EQ(batch.findSparse(100)->values,
+              (std::vector<int64_t>{9, 4, 2}));
+}
+
+TEST(OpsDifferential, FlatKernelsMatchReferenceOnModelGraphRows)
+{
+    // Every rewritten op over generated rows of a real schema,
+    // reading real (and scored) list columns.
+    warehouse::SchemaParams p;
+    p.float_features = 4;
+    p.sparse_features = 6;
+    p.avg_length = 12;
+    auto schema = warehouse::makeSchema(p);
+    warehouse::RowGenerator gen(schema, 41);
+    auto base = dwrf::batchFromRows(gen.batch(256));
+    ASSERT_GE(base.sparse.size(), 2u);
+    for (TransformSpec s : rewrittenOpSpecs()) {
+        for (auto &in : s.inputs)
+            in = base.sparse[in == kA ? 0 : 1].id;
+        SCOPED_TRACE(opKindName(s.kind));
+        auto got = base, want = base;
+        TransformStats got_st, want_st;
+        compileTransform(s)->apply(got, got_st);
+        oracle::compile(s)->apply(want, want_st);
+        expectSameOutput(got, got_st, want, want_st);
+    }
 }
 
 } // namespace
