@@ -85,19 +85,26 @@ steadySeconds()
 volatile uint64_t g_sink = 0;
 
 /**
- * Warmups, then the fastest of `measure` timed runs of `fn`. Minimum
+ * Warmups, then the fastest of `measure` timed runs of `fn`; `setup`,
+ * if given, runs untimed before each run. Minimum
  * (not mean/median) is the right statistic on a shared host: every
  * trial runs identical work, so the fastest run is the one with the
  * least outside interference.
  */
 double
 bestTrialSeconds(const SuiteConfig &cfg,
-                 const std::function<void()> &fn)
+                 const std::function<void()> &fn,
+                 const std::function<void()> &setup = {})
 {
-    for (uint32_t i = 0; i < cfg.warmup_trials; ++i)
+    for (uint32_t i = 0; i < cfg.warmup_trials; ++i) {
+        if (setup)
+            setup();
         fn();
+    }
     double best = 1e300;
     for (uint32_t i = 0; i < cfg.measure_trials; ++i) {
+        if (setup)
+            setup();
         double t0 = steadySeconds();
         fn();
         best = std::min(best, steadySeconds() - t0);
@@ -409,16 +416,22 @@ runDppSuite(const SuiteConfig &cfg)
         OpKind::Clamp,           OpKind::Sampling,
     };
     dwrf::RowBatch base = makeTransformBatch();
+    // An op appends a column, so every rep needs a fresh batch: the
+    // copies are made before the clock starts, and only apply() is
+    // timed.
+    std::vector<dwrf::RowBatch> batches;
     for (OpKind kind : kOps) {
         auto op = transforms::compileTransform(specFor(kind));
-        double seconds = bestTrialSeconds(cfg, [&] {
-            for (uint32_t r = 0; r < cfg.transform_reps; ++r) {
-                dwrf::RowBatch batch = base;
-                transforms::TransformStats stats;
-                op->apply(batch, stats);
-                g_sink = g_sink + stats.values_produced + batch.rows;
-            }
-        });
+        double seconds = bestTrialSeconds(
+            cfg,
+            [&] {
+                for (dwrf::RowBatch &batch : batches) {
+                    transforms::TransformStats stats;
+                    op->apply(batch, stats);
+                    g_sink = g_sink + stats.values_produced + batch.rows;
+                }
+            },
+            [&] { batches.assign(cfg.transform_reps, base); });
         double rows = static_cast<double>(base.rows) *
                       cfg.transform_reps;
         report.metrics.push_back(

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 #
-# Tier-1 verification, twice: a plain build+test pass (plus a rerun
-# of the suites labelled `traced` with DSI_TRACE=1, as CI's tracing
-# job does), then an AddressSanitizer pass (catches the lifetime/buffer
-# bugs the chaos suite is designed to provoke). Run from the repo root:
+# Tier-1 verification, three times: a plain build+test pass (plus a
+# rerun of the suites labelled `traced` with DSI_TRACE=1, as CI's
+# tracing job does), an AddressSanitizer pass (catches the
+# lifetime/buffer bugs the chaos suite is designed to provoke), and an
+# UndefinedBehaviorSanitizer pass (signed overflow, null memcpy/memcmp;
+# any report fails the run). Run from the repo root:
 #
 #   scripts/check.sh [extra ctest args...]
 #
@@ -38,7 +40,10 @@ echo "==> test build with DSI_TRACE=1 (-L traced)"
 # Pass 2: ASan.
 run_pass build-asan address "$@"
 
-# Optional pass 3: TSan over the suites labelled `threaded` in
+# Pass 3: UBSan (built with -fno-sanitize-recover, so a report fails).
+run_pass build-ubsan undefined "$@"
+
+# Optional pass 4: TSan over the suites labelled `threaded` in
 # tests/CMakeLists.txt.
 if [[ "${DSI_CHECK_TSAN:-0}" == "1" ]]; then
     run_pass build-tsan thread -L threaded "$@"

@@ -18,8 +18,7 @@ StreamWorker::StreamWorker(scribe::LogDevice &device,
         spec_.serialized_transforms);
     dsi_assert(graph.has_value(),
                "stream worker received malformed transform program");
-    program_ = std::move(*graph);
-    graph_ = std::make_unique<transforms::CompiledGraph>(program_);
+    graph_ = std::make_unique<const transforms::CompiledGraph>(*graph);
     if (spec_.num_transform_threads > 0)
         pool_ = std::make_unique<ThreadPool>(
             spec_.num_transform_threads);
@@ -74,17 +73,18 @@ StreamWorker::emitBatch()
 {
     if (pending_.empty())
         return;
-    auto batch = dwrf::batchFromRows(pending_);
+    TensorBatch tensor;
+    tensor.data = dwrf::batchFromRows(pending_);
+    tensor.first_row = next_row_;
+    next_row_ += pending_.size();
     pending_.clear();
     if (pool_) {
         // Parallel mode: collect; transformReady() fans out.
-        ready_.push_back(std::move(batch));
+        ready_.push_back(std::move(tensor));
         return;
     }
-    transform_stats_.merge(graph_->apply(batch));
-    TensorBatch tensor;
-    tensor.bytes = batch.payloadBytes();
-    tensor.data = std::move(batch);
+    transform_stats_.merge(graph_->apply(tensor.data, tensor.first_row));
+    tensor.bytes = tensor.data.payloadBytes();
     metrics_.inc("stream.tensors");
     buffer_.push_back(std::move(tensor));
 }
@@ -94,27 +94,23 @@ StreamWorker::transformReady()
 {
     if (!pool_ || ready_.empty())
         return;
-    // Fan the collected batches out; each task compiles its own
-    // graph (compiled ops are stateful, so instances cannot be
-    // shared across threads). Emission preserves arrival order.
-    std::vector<TensorBatch> tensors(ready_.size());
+    // Fan the collected batches out over the shared graph; emission
+    // preserves arrival order.
     std::vector<transforms::TransformStats> stats(ready_.size());
     for (size_t i = 0; i < ready_.size(); ++i) {
-        pool_->submit([this, i, &tensors, &stats] {
-            transforms::CompiledGraph graph(program_);
-            dwrf::RowBatch batch = std::move(ready_[i]);
-            stats[i] = graph.apply(batch);
-            tensors[i].bytes = batch.payloadBytes();
-            tensors[i].data = std::move(batch);
+        pool_->submit([this, i, &stats] {
+            TensorBatch &tensor = ready_[i];
+            stats[i] = graph_->apply(tensor.data, tensor.first_row);
+            tensor.bytes = tensor.data.payloadBytes();
         });
     }
     pool_->wait();
-    ready_.clear();
-    for (size_t i = 0; i < tensors.size(); ++i) {
+    for (size_t i = 0; i < ready_.size(); ++i) {
         transform_stats_.merge(stats[i]);
         metrics_.inc("stream.tensors");
-        buffer_.push_back(std::move(tensors[i]));
+        buffer_.push_back(std::move(ready_[i]));
     }
+    ready_.clear();
 }
 
 void

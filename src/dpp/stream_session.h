@@ -13,11 +13,13 @@
  * like a batch-mode Worker.
  *
  * With `num_transform_threads > 0` the transform stage fans each
- * pump()'s full batches out to a thread pool (each task compiles its
- * own executable graph — compiled ops hold per-instance state), and
- * tensors are emitted in arrival order. Decode stays on the calling
- * thread: the stream is a strictly ordered log. pump()/flush()/
- * popTensor() themselves must be called from one thread.
+ * pump()'s full batches out to a thread pool that shares the one
+ * immutable compiled graph, and tensors are emitted in arrival order.
+ * A tensor's `first_row` is its stream position (rows accepted before
+ * it), the row identity Sampling draws on, so both modes deliver the
+ * same bytes. Decode stays on the calling thread: the stream is a
+ * strictly ordered log. pump()/flush()/popTensor() themselves must be
+ * called from one thread.
  */
 
 #ifndef DSI_DPP_STREAM_SESSION_H
@@ -95,11 +97,11 @@ class StreamWorker
     scribe::LogDevice &device_;
     StreamSessionSpec spec_;
     scribe::StreamReader reader_;
-    transforms::TransformGraph program_;
-    std::unique_ptr<transforms::CompiledGraph> graph_;
+    std::unique_ptr<const transforms::CompiledGraph> graph_;
     std::unique_ptr<ThreadPool> pool_;
     std::vector<dwrf::Row> pending_;
-    std::vector<dwrf::RowBatch> ready_; ///< awaiting parallel transform
+    RowId next_row_ = 0; ///< stream position of pending_'s first row
+    std::vector<TensorBatch> ready_; ///< awaiting parallel transform
     std::deque<TensorBatch> buffer_;
     transforms::TransformStats transform_stats_;
     Metrics metrics_;

@@ -17,9 +17,9 @@ Worker::Worker(WorkSource &control,
 {
     id_ = control_.registerWorker();
     // The transform program (the "serialized and compiled PyTorch
-    // module") is pulled lazily per tenant by each transform lane on
-    // its first stripe from that tenant — a fleet worker cannot know
-    // up front which sessions it will serve. See laneGraph().
+    // module") is pulled lazily per tenant on the first grant from
+    // that tenant — a fleet worker cannot know up front which sessions
+    // it will serve. See tenantGraph().
 }
 
 Worker::~Worker()
@@ -167,21 +167,21 @@ Worker::extractStripe(dwrf::FileReader &reader, TenantId tenant,
     return true;
 }
 
-bool
-Worker::transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
-                        uint64_t split_id, uint64_t epoch,
-                        RowId first_row, uint32_t stripe_index,
-                        transforms::CompiledGraph &graph,
-                        transforms::TransformStats &stats,
-                        Metrics &metrics, bool blocking,
-                        trace::SpanId grant_span)
+void
+Worker::transformStripe(ExtractedStripe &work, TransformLane &lane,
+                        bool blocking)
 {
-    const SessionSpec &spec = control_.tenantSpec(tenant);
+    const dwrf::RowBatch &stripe = work.rows;
+    const transforms::CompiledGraph &graph = *work.graph;
+    transforms::TransformStats &stats = lane.stats;
+    Metrics &metrics = lane.metrics;
+    const SessionSpec &spec = control_.tenantSpec(work.tenant);
+    const SplitKey key{work.tenant, work.split_id};
     // One transform span covers the whole stripe; buffer waits inside
     // it get their own Complete spans so stall attribution can credit
     // them to the delivery stage instead of transform compute.
-    trace::Span span(trace::spans::kTransformStripe, grant_span,
-                     split_id, first_row);
+    trace::Span span(trace::spans::kTransformStripe, work.trace,
+                     work.split_id, work.first_row);
     // Batch dedup is gated on the graph being row-local (every Table
     // XI op except Sampling): only then is transform-once-per-unique-
     // row byte-identical to transforming the full batch.
@@ -192,14 +192,17 @@ Worker::transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
     for (uint32_t start = 0; start < stripe.rows;
          start += spec.batch_size) {
         if (blocking && (stop_requested_ || crashed_))
-            return false;
+            return;
+        // The batch's row identity: Sampling draws on it, so every
+        // lane and every replay keeps the same rows.
+        const RowId first_row = work.first_row + start;
         dwrf::RowBatch batch =
             dwrf::sliceBatch(stripe, start, spec.batch_size);
         if (options_.dedup_enabled && !dedup_row_local)
             metrics.inc("worker.dedup_bypassed_batches");
         if (dedup_row_local) {
             trace::Span dspan(trace::spans::kWorkerDedup, span.id(),
-                              split_id, batch.rows);
+                              work.split_id, batch.rows);
             transforms::BatchDedupPlan plan =
                 transforms::planBatchDedup(batch);
             metrics.inc("worker.dedup_rows_in",
@@ -219,21 +222,21 @@ Worker::transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
                     ? transforms::gatherRows(unique, plan.inverse)
                     : transforms::expandBatch(unique, plan, labels);
             } else {
-                stats.merge(graph.apply(batch));
+                stats.merge(graph.apply(batch, first_row));
             }
         } else {
-            stats.merge(graph.apply(batch));
+            stats.merge(graph.apply(batch, first_row));
         }
 
         TensorBatch tensor;
         tensor.bytes = batch.payloadBytes();
         tensor.data = std::move(batch);
-        tensor.tenant = tenant;
-        tensor.split_id = split_id;
-        tensor.first_row = first_row + start;
-        tensor.stripe = stripe_index;
+        tensor.tenant = work.tenant;
+        tensor.split_id = work.split_id;
+        tensor.first_row = first_row;
+        tensor.stripe = work.stripe;
         tensor.last_in_stripe = start + spec.batch_size >= stripe.rows;
-        tensor.epoch = epoch;
+        tensor.epoch = work.epoch;
         tensor.trace = span.id();
         metrics.inc("worker.tensor_bytes",
                     static_cast<double>(tensor.bytes));
@@ -241,19 +244,19 @@ Worker::transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
         // Count the tensor against the split *before* it becomes
         // visible in the buffer, so a concurrent pop can never
         // observe a delivery the tracker has not heard of.
-        noteProgress({tenant, split_id}, epoch, Progress::TensorEnqueued);
+        noteProgress(key, work.epoch, Progress::TensorEnqueued);
         trace::Timer wait;
         if (!pushTensor(std::move(tensor), blocking)) {
             // Stopped/crashed while waiting for buffer space; the
             // tensor never entered the buffer.
-            noteProgress({tenant, split_id}, epoch,
-                         Progress::TensorUnqueued);
-            return false;
+            noteProgress(key, work.epoch, Progress::TensorUnqueued);
+            return;
         }
         if (blocking)
-            wait.complete(trace::spans::kBufferWait, span.id(), split_id);
+            wait.complete(trace::spans::kBufferWait, span.id(),
+                          work.split_id);
     }
-    return true;
+    noteProgress(key, work.epoch, Progress::StripeTransformed);
 }
 
 // ---------------------------------------------------------------------
@@ -298,6 +301,7 @@ Worker::openGrant(HeldSplit &held)
     held.next = split.resume_stripe;
     held.epoch = beginSplit(held.key(),
                             split.stripe_count - split.resume_stripe);
+    held.graph = tenantGraph(held.grant.tenant);
     held.source = warehouse_.cluster().open(split.file);
     dwrf::ReadOptions read = spec.read;
     read.projection = spec.projection;
@@ -362,6 +366,7 @@ Worker::nextStripe(HeldSplit &held, ExtractedStripe &out)
         held.metrics.inc("worker.deadline_expired");
         return SplitEnd::Release;
     }
+    out.graph = held.graph;
     out.tenant = held.grant.tenant;
     out.split_id = split.id;
     out.first_row = held.reader->footer().stripes[stripe_index].first_row;
@@ -401,52 +406,37 @@ Worker::finishGrant(HeldSplit &held, SplitEnd end)
     }
 }
 
-transforms::CompiledGraph &
-Worker::laneGraph(TransformLane &lane, TenantId tenant)
+std::shared_ptr<const transforms::CompiledGraph>
+Worker::tenantGraph(TenantId tenant)
 {
-    size_t before = lane.graphs.size();
-    // Only a lane holding another tenant's graph has anything to
-    // prune, so a single-tenant session never takes this branch.
-    if (before > lane.graphs.count(tenant)) {
+    {
         std::scoped_lock lock(progress_mutex_);
-        std::erase_if(lane.graphs, [&](const auto &entry) {
+        std::erase_if(graphs_, [&](const auto &entry) {
             TenantId t = entry.first;
-            if (t == tenant)
-                return false;
             auto it = split_progress_.lower_bound({t, 0});
-            return it == split_progress_.end() || it->first.first != t;
+            return t != tenant &&
+                   (it == split_progress_.end() || it->first.first != t);
         });
-        cached_programs_ -= before - lane.graphs.size();
+        metrics_.set("worker.cached_programs",
+                     static_cast<double>(graphs_.size()));
+        if (auto it = graphs_.find(tenant); it != graphs_.end())
+            return it->second;
     }
-    auto &graph = lane.graphs[tenant];
-    if (!graph) {
-        auto program = transforms::TransformGraph::deserialize(
-            control_.tenantProgram(tenant));
-        dsi_assert(program.has_value(),
-                   "worker %u received malformed transform program "
-                   "for tenant %u",
-                   id_, tenant);
-        graph = std::make_unique<transforms::CompiledGraph>(*program);
-        ++cached_programs_;
-    }
-    if (lane.graphs.size() != before)
-        publishCachedPrograms();
-    return *graph;
-}
-
-void
-Worker::transformExtracted(ExtractedStripe &work, TransformLane &lane,
-                           bool blocking)
-{
-    auto &graph = laneGraph(lane, work.tenant);
-    bool whole = transformStripe(work.rows, work.tenant, work.split_id,
-                                 work.epoch, work.first_row, work.stripe,
-                                 graph, lane.stats, lane.metrics,
-                                 blocking, work.trace);
-    if (whole) {
-        noteProgress({work.tenant, work.split_id}, work.epoch,
-                     Progress::StripeTransformed);
-    }
+    // Compile outside the lock: the program comes from the control
+    // plane, which takes its own mutexes.
+    auto program = transforms::TransformGraph::deserialize(
+        control_.tenantProgram(tenant));
+    dsi_assert(program.has_value(),
+               "worker %u received malformed transform program "
+               "for tenant %u",
+               id_, tenant);
+    auto graph = std::make_shared<const transforms::CompiledGraph>(*program);
+    std::scoped_lock lock(progress_mutex_);
+    // Another extract thread may have compiled it meanwhile; keep one.
+    auto it = graphs_.try_emplace(tenant, std::move(graph)).first;
+    metrics_.set("worker.cached_programs",
+                 static_cast<double>(graphs_.size()));
+    return it->second;
 }
 
 void
@@ -457,8 +447,6 @@ Worker::foldLane(TransformLane &lane)
         transform_stats_.merge(lane.stats);
     }
     metrics_.merge(lane.metrics);
-    lane.stats = {};
-    lane.metrics = {};
 }
 
 void
@@ -532,13 +520,11 @@ Worker::transformLoop()
     while (auto work = stripe_queue_->pop()) {
         if (crashed_)
             break;
-        transformExtracted(*work, lane, /*blocking=*/true);
+        transformStripe(*work, lane, /*blocking=*/true);
         if (stop_requested_ || crashed_)
             break;
     }
     foldLane(lane);
-    cached_programs_ -= lane.graphs.size(); // they die with the lane
-    publishCachedPrograms();
     // Last transformer out marks production finished: drained() can
     // only become true after every pipeline thread has quiesced.
     if (active_transformers_.fetch_sub(1) == 1)
@@ -580,8 +566,9 @@ Worker::pump()
         ExtractedStripe work;
         end = nextStripe(*held_, work);
         if (end == SplitEnd::None) {
-            transformExtracted(work, pump_lane_, /*blocking=*/false);
-            foldLane(pump_lane_);
+            TransformLane lane;
+            transformStripe(work, lane, /*blocking=*/false);
+            foldLane(lane);
             if (held_->next < held_->split().stripe_count)
                 return true;
             end = SplitEnd::Done;
@@ -778,13 +765,6 @@ Worker::noteProgress(SplitKey key, uint64_t epoch, Progress event)
     // hygiene: WorkSource implementations take their own mutexes).
     control_.completeSplit(id_, key.first, key.second);
     metrics_.inc("worker.splits_completed");
-}
-
-void
-Worker::publishCachedPrograms()
-{
-    metrics_.set("worker.cached_programs",
-                 static_cast<double>(cached_programs_.load()));
 }
 
 void

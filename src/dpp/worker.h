@@ -7,13 +7,13 @@
  * multiplexing many sessions — to fetch splits and per-tenant
  * transform programs, and to Clients (to serve tensors). Every grant
  * names the tenant it belongs to; the Worker keys its split progress
- * by (tenant, split), compiles and caches one transform graph per
- * tenant per thread, and echoes the tenant on every lifecycle call,
- * so one worker can interleave splits from many sessions. Per split
- * it runs the full online ETL: extract (read + decrypt + decompress +
- * decode + feature-filter the stored stripes), transform (apply the
- * compiled graph per mini-batch), and partially load (batch rows into
- * ready-to-load tensors buffered in memory).
+ * by (tenant, split), compiles one immutable transform graph per
+ * tenant that every thread shares, and echoes the tenant on every
+ * lifecycle call, so one worker can interleave splits from many
+ * sessions. Per split it runs the full online ETL: extract (read +
+ * decrypt + decompress + decode + feature-filter the stored stripes),
+ * transform (apply the compiled graph per mini-batch), and partially
+ * load (batch rows into ready-to-load tensors buffered in memory).
  *
  * Two execution modes share one Worker and one split state machine,
  * written as stage functions: acquire a grant (handling shed and
@@ -30,8 +30,8 @@
  *    data plane the paper describes — production workers run *many*
  *    extract/transform threads per node (Sections III-B1, VI-C). N
  *    extract threads drive the same stages and push decoded stripes
- *    into a bounded queue; M transform threads pop stripes, apply a
- *    per-thread compiled graph per mini-batch, and append to the
+ *    into a bounded queue; M transform threads pop stripes, apply the
+ *    tenant's shared compiled graph per mini-batch, and append to the
  *    byte-capped tensor buffer, blocking when trainers fall behind
  *    (backpressure instead of OOM). stop() aborts and joins cleanly;
  *    natural end-of-work drains and quiesces on its own.
@@ -282,6 +282,7 @@ class Worker
     struct ExtractedStripe
     {
         dwrf::RowBatch rows;
+        std::shared_ptr<const transforms::CompiledGraph> graph;
         TenantId tenant = 0;
         uint64_t split_id = 0;
         RowId first_row = 0;
@@ -317,6 +318,7 @@ class Worker
     struct HeldSplit
     {
         SplitGrant grant;
+        std::shared_ptr<const transforms::CompiledGraph> graph;
         uint64_t epoch = 0;
         uint32_t next = 0; ///< next relative stripe to extract
         std::unique_ptr<dwrf::RandomAccessSource> source;
@@ -346,17 +348,11 @@ class Worker
     };
 
     /**
-     * Per-thread transform state: compiled ops hold per-instance state
-     * (e.g. the Sampling counter), so each transform thread — and
-     * pump() — compiles its own copy per tenant, and accumulates stats
-     * privately until foldLane(). A lane keeps a tenant's graph only
-     * while the worker tracks one of that tenant's splits (see
-     * laneGraph()).
+     * Per-thread transform totals — each transform thread, and pump(),
+     * accumulates privately until foldLane().
      */
     struct TransformLane
     {
-        std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>
-            graphs;
         transforms::TransformStats stats;
         Metrics metrics;
     };
@@ -368,16 +364,13 @@ class Worker
     SplitEnd nextStripe(HeldSplit &held, ExtractedStripe &out);
     void finishGrant(HeldSplit &held, SplitEnd end);
     /**
-     * `tenant`'s compiled graph in `lane`, deserialized from the
-     * control plane on first use. First drops the lane's graphs of
+     * `tenant`'s compiled graph, deserialized from the control plane
+     * on first use and shared by every lane. First drops the graphs of
      * other tenants that no longer have a tracked split, so a resident
      * fleet worker does not keep every tenant it ever served.
      */
-    transforms::CompiledGraph &laneGraph(TransformLane &lane,
-                                         TenantId tenant);
-    /** Transform one extracted stripe. */
-    void transformExtracted(ExtractedStripe &work, TransformLane &lane,
-                            bool blocking);
+    std::shared_ptr<const transforms::CompiledGraph>
+    tenantGraph(TenantId tenant);
     void foldLane(TransformLane &lane);
     void beat() { ++beats_; }
     /** No further splits will be acquired (both modes). */
@@ -421,24 +414,12 @@ class Worker
                        dwrf::ReadStatus *status = nullptr) const;
 
     /**
-     * Publish the cached-program count as the worker.cached_programs
-     * gauge. Called whenever it changes: a lane compiles or drops a
-     * graph, or exits.
+     * Slice a stripe into mini-batch tensors via its tenant's graph;
+     * once the whole stripe is enqueued (not stopped or crashed
+     * mid-way), count it transformed.
      */
-    void publishCachedPrograms();
-
-    /**
-     * Slice a stripe into mini-batch tensors via `graph`, under
-     * `tenant`'s spec. True when the whole stripe was enqueued
-     * (false: stopped/crashed mid-way).
-     */
-    bool transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
-                         uint64_t split_id, uint64_t epoch,
-                         RowId first_row, uint32_t stripe_index,
-                         transforms::CompiledGraph &graph,
-                         transforms::TransformStats &stats,
-                         Metrics &metrics, bool blocking,
-                         trace::SpanId grant_span = trace::kNoSpan);
+    void transformStripe(ExtractedStripe &work, TransformLane &lane,
+                         bool blocking);
 
     bool bufferFullLocked() const;
     /**
@@ -452,10 +433,6 @@ class Worker
     const warehouse::Warehouse &warehouse_;
     WorkerOptions options_;
     WorkerId id_;
-
-    // Compiled graphs held across all transform lanes (the
-    // worker.cached_programs gauge).
-    std::atomic<uint64_t> cached_programs_{0};
 
     // Tensor buffer (the partial-load stage). Guarded by buffer_mutex_.
     mutable std::mutex buffer_mutex_;
@@ -479,11 +456,17 @@ class Worker
     mutable std::mutex progress_mutex_;
     std::map<SplitKey, SplitProgress> split_progress_;
     uint64_t next_epoch_ = 1; ///< guarded by progress_mutex_
+    /**
+     * One compiled graph per tenant with a tracked split (the
+     * worker.cached_programs gauge), guarded by progress_mutex_.
+     * Stripes in flight hold their own reference.
+     */
+    std::map<TenantId, std::shared_ptr<const transforms::CompiledGraph>>
+        graphs_;
 
-    // Synchronous mode: the split and transform lane pump() carries
-    // from one call to the next.
+    // Synchronous mode: the split pump() carries from one call to the
+    // next.
     std::optional<HeldSplit> held_;
-    TransformLane pump_lane_;
 
     // Cumulative stats; pipeline threads fold in under stats_mutex_.
     mutable std::mutex stats_mutex_;

@@ -177,7 +177,8 @@ getFloatBlock(ByteSpan in, size_t &pos, std::span<float> out)
     size_t bytes = out.size() * sizeof(float);
     if (pos > in.size() || in.size() - pos < bytes)
         return false;
-    std::memcpy(out.data(), in.data() + pos, bytes);
+    if (bytes != 0) // an empty span may carry a null pointer
+        std::memcpy(out.data(), in.data() + pos, bytes);
     pos += bytes;
     return true;
 }
@@ -250,14 +251,18 @@ rleEncode(const std::vector<int64_t> &values, Buffer &out)
     size_t i = 0;
     const size_t n = values.size();
     while (i < n) {
-        // Find the longest fixed-delta run starting at i.
+        // Find the longest fixed-delta run starting at i. Deltas wrap
+        // (two's complement, in uint64_t), so ids far apart cannot
+        // overflow; the decoder wraps the same way.
         size_t run_end = i + 1;
         if (run_end < n) {
-            int64_t delta = values[run_end] - values[i];
-            while (run_end + 1 < n &&
-                   values[run_end + 1] - values[run_end] == delta) {
+            auto step = [&](size_t k) {
+                return static_cast<uint64_t>(values[k + 1]) -
+                       static_cast<uint64_t>(values[k]);
+            };
+            uint64_t delta = step(i);
+            while (run_end + 1 < n && step(run_end) == delta)
                 ++run_end;
-            }
             ++run_end; // convert last-index to one-past-end
             size_t run_len = run_end - i;
             if (run_len >= kMinRun) {
@@ -265,7 +270,7 @@ rleEncode(const std::vector<int64_t> &values, Buffer &out)
                 out.push_back(kRunTag);
                 putVarint(out, run_len);
                 putSignedVarint(out, values[i]);
-                putSignedVarint(out, delta);
+                putSignedVarint(out, static_cast<int64_t>(delta));
                 i = run_end;
                 lit_begin = i;
                 continue;
@@ -291,10 +296,10 @@ rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values)
                 !getSignedVarint(in, pos, delta)) {
                 return false;
             }
-            int64_t v = base;
+            uint64_t v = static_cast<uint64_t>(base);
             for (uint64_t k = 0; k < n; ++k) {
-                values.push_back(v);
-                v += delta;
+                values.push_back(static_cast<int64_t>(v));
+                v += static_cast<uint64_t>(delta);
             }
         } else if (tag == kLiteralTag) {
             // Each literal needs >= 1 byte: reject a count the stream
@@ -334,11 +339,12 @@ rleDecode(ByteSpan in, std::vector<int64_t> &values)
             // common gap between literal groups) stay on an inline
             // push_back loop; long constant runs — the zero-dominated
             // sparse-length shape — become a single fill.
+            // Deltas wrap in uint64_t, as rleEncode computed them.
             if (n < 16) {
-                int64_t v = base;
+                uint64_t v = static_cast<uint64_t>(base);
                 for (uint64_t k = 0; k < n; ++k) {
-                    values.push_back(v);
-                    v += delta;
+                    values.push_back(static_cast<int64_t>(v));
+                    v += static_cast<uint64_t>(delta);
                 }
             } else if (delta == 0) {
                 values.resize(values.size() + n, base);
@@ -346,10 +352,10 @@ rleDecode(ByteSpan in, std::vector<int64_t> &values)
                 size_t old = values.size();
                 values.resize(old + n);
                 int64_t *dst = values.data() + old;
-                int64_t v = base;
+                uint64_t v = static_cast<uint64_t>(base);
                 for (uint64_t k = 0; k < n; ++k) {
-                    dst[k] = v;
-                    v += delta;
+                    dst[k] = static_cast<int64_t>(v);
+                    v += static_cast<uint64_t>(delta);
                 }
             }
         } else if (tag == kLiteralTag) {

@@ -20,8 +20,9 @@
  * batch (tests/dedup_differential_test.cc proves it end to end):
  * exact row comparison means no hash collision can alias two
  * different rows, and row-local ops compute bitwise-equal outputs on
- * the gathered copy. Graphs containing Sampling (batch-order
- * stateful) must be bypassed — rowLocal() is the gate.
+ * the gathered copy. Graphs containing Sampling (which keeps or drops
+ * each row by its row identity, not its content) must be bypassed —
+ * rowLocal() is the gate.
  */
 
 #ifndef DSI_TRANSFORMS_DEDUP_H
@@ -37,7 +38,7 @@ namespace dsi::transforms {
 /**
  * True when the op's per-row output depends only on that row's
  * feature content (every Table XI op except Sampling, which rewrites
- * the batch as a function of row *positions* and a batch counter).
+ * the batch as a function of each row's identity `first_row + r`).
  */
 bool rowLocal(OpKind kind);
 

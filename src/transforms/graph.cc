@@ -87,7 +87,7 @@ eraseNewest(std::vector<Column> &columns, FeatureId id)
 } // namespace
 
 TransformStats
-CompiledGraph::apply(dwrf::RowBatch &batch) const
+CompiledGraph::apply(dwrf::RowBatch &batch, uint64_t first_row) const
 {
     enum class Wrote : uint8_t { Nothing, Dense, Sparse };
     TransformStats stats;
@@ -96,7 +96,7 @@ CompiledGraph::apply(dwrf::RowBatch &batch) const
     std::vector<Wrote> wrote(ops_.size(), Wrote::Nothing);
     for (size_t j = 0; j < ops_.size(); ++j) {
         size_t dense = batch.dense.size(), sparse = batch.sparse.size();
-        ops_[j]->apply(batch, stats);
+        ops_[j]->apply(batch, stats, first_row);
         if (batch.dense.size() > dense)
             wrote[j] = Wrote::Dense;
         else if (batch.sparse.size() > sparse)
@@ -109,7 +109,6 @@ CompiledGraph::apply(dwrf::RowBatch &batch) const
                 eraseNewest(batch.sparse, id);
         }
     }
-    total_.merge(stats);
     return stats;
 }
 

@@ -54,7 +54,9 @@ class TransformGraph
 };
 
 /**
- * Executable form of a graph.
+ * Executable form of a graph. Immutable once built: apply() reads
+ * nothing but its arguments, so one instance may serve any number of
+ * threads at once.
  *
  * Liveness is worked out once, at construction: a graph output that a
  * later op reads is an intermediate and is dropped from the batch
@@ -69,21 +71,19 @@ class CompiledGraph
 
     /**
      * Apply every op in order, dropping each intermediate after its
-     * last reader; returns per-call stats.
+     * last reader; returns per-call stats. `first_row` is the stable
+     * identity of the batch's row 0 (see Transform::apply).
      */
-    TransformStats apply(dwrf::RowBatch &batch) const;
+    TransformStats apply(dwrf::RowBatch &batch,
+                         uint64_t first_row = 0) const;
 
     size_t size() const { return ops_.size(); }
     const Transform &op(size_t i) const { return *ops_[i]; }
-
-    /** Cumulative stats across all apply() calls. */
-    const TransformStats &totalStats() const { return total_; }
 
   private:
     std::vector<std::unique_ptr<Transform>> ops_;
     /** Per op: the ops whose outputs die once it has run. */
     std::vector<std::vector<uint32_t>> dead_after_;
-    mutable TransformStats total_;
 };
 
 /** Knobs of the synthetic model-graph builder. */

@@ -227,7 +227,8 @@ class DenseUnaryOp : public TransformBase
     virtual float map(float x) const = 0;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::DenseColumn *in = batch.findDense(spec_.inputs[0]);
         if (!in)
@@ -335,7 +336,8 @@ class OnehotOp : public TransformBase
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::DenseColumn *in = batch.findDense(spec_.inputs[0]);
         if (!in)
@@ -384,7 +386,8 @@ class ListMapOp : public TransformBase
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *in =
             batch.findSparse(spec_.inputs[0]);
@@ -503,7 +506,8 @@ class FirstXOp : public TransformBase
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *in =
             batch.findSparse(spec_.inputs[0]);
@@ -537,7 +541,8 @@ class NGramOp : public TransformBase
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *in =
             batch.findSparse(spec_.inputs[0]);
@@ -575,7 +580,8 @@ class CartesianOp : public TransformBase
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *a = batch.findSparse(spec_.inputs[0]);
         const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
@@ -690,7 +696,8 @@ class IdListTransformOp : public TransformBase
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *a = batch.findSparse(spec_.inputs[0]);
         const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
@@ -732,25 +739,29 @@ class IdListTransformOp : public TransformBase
     }
 };
 
-/** Batch-level random row sampling (keep rate p0, salt u0). */
+/**
+ * Batch-level random row sampling (keep rate p0, salt u0). Each row's
+ * draw is a hash of its identity `first_row + r`, so a row is kept or
+ * dropped the same way on every worker, thread and replay.
+ */
 class SamplingOp : public TransformBase
 {
   public:
     using TransformBase::TransformBase;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t first_row) const override
     {
         stats.rows_in += batch.rows;
         std::vector<uint32_t> keep;
         keep.reserve(batch.rows);
         for (uint32_t r = 0; r < batch.rows; ++r) {
-            uint64_t h = sigridHash64(sample_counter_ + r, spec_.u0);
+            uint64_t h = sigridHash64(first_row + r, spec_.u0);
             double u = static_cast<double>(h >> 11) * 0x1.0p-53;
             if (u < spec_.p0)
                 keep.push_back(r);
         }
-        sample_counter_ += batch.rows;
 
         dwrf::RowBatch out;
         out.rows = static_cast<uint32_t>(keep.size());
@@ -802,9 +813,6 @@ class SamplingOp : public TransformBase
         stats.rows_out += out.rows;
         batch = std::move(out);
     }
-
-  private:
-    mutable uint64_t sample_counter_ = 0;
 };
 
 void

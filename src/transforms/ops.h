@@ -101,10 +101,13 @@ class Transform
     /**
      * Apply in place: reads input columns of `batch`, appends (or for
      * Sampling, rewrites) output. Missing inputs are tolerated (the
-     * op contributes nothing for rows lacking them).
+     * op contributes nothing for rows lacking them). `first_row` is
+     * the stable identity of the batch's row 0 (row r is
+     * `first_row + r`); only Sampling reads it, so an op's output
+     * never depends on which thread ran it or how often.
      */
-    virtual void apply(dwrf::RowBatch &batch,
-                       TransformStats &stats) const = 0;
+    virtual void apply(dwrf::RowBatch &batch, TransformStats &stats,
+                       uint64_t first_row = 0) const = 0;
 
     OpKind kind() const { return spec().kind; }
     OpClass opClass() const { return opClassOf(spec().kind); }

@@ -11,6 +11,11 @@
  * byte-identical between the two, including under worker-crash and
  * corrupt-replica fault injection. Unit tests cover the batch-dedup
  * plan/gather/expand primitives and the Sampling bypass gate.
+ *
+ * The same comparer pins Sampling's determinism: a Sampling graph must
+ * deliver the same bytes per (split_id, first_row) whatever the worker
+ * thread count, across a worker crash and replay, and in the streaming
+ * worker inline and with its transform pool.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +28,8 @@
 
 #include "common/fault.h"
 #include "dpp/session.h"
+#include "dpp/stream_session.h"
+#include "etl/entries.h"
 #include "test_fixtures.h"
 #include "transforms/dedup.h"
 
@@ -203,6 +210,16 @@ struct BatchLog
     }
 };
 
+/** Bitwise float compare (memcmp on an empty vector's null data() is
+ * undefined, so empty vectors compare by size alone). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
 void
 expectBatchEqual(const dwrf::RowBatch &a, const dwrf::RowBatch &b,
                  uint64_t split, RowId first_row)
@@ -215,21 +232,13 @@ expectBatchEqual(const dwrf::RowBatch &a, const dwrf::RowBatch &b,
     ASSERT_EQ(a.rows, b.rows) << ctx("row count");
     // Bitwise float compares throughout: dedup must not normalize
     // NaN payloads or signed zeros anywhere in the pipeline.
-    ASSERT_EQ(a.labels.size(), b.labels.size());
-    EXPECT_EQ(std::memcmp(a.labels.data(), b.labels.data(),
-                          a.labels.size() * sizeof(float)),
-              0)
-        << ctx("labels");
+    EXPECT_TRUE(sameBits(a.labels, b.labels)) << ctx("labels");
     ASSERT_EQ(a.dense.size(), b.dense.size()) << ctx("dense count");
     for (size_t c = 0; c < a.dense.size(); ++c) {
         EXPECT_EQ(a.dense[c].id, b.dense[c].id) << ctx("dense id");
         EXPECT_EQ(a.dense[c].present, b.dense[c].present)
             << ctx("presence");
-        ASSERT_EQ(a.dense[c].values.size(), b.dense[c].values.size());
-        EXPECT_EQ(std::memcmp(a.dense[c].values.data(),
-                              b.dense[c].values.data(),
-                              a.dense[c].values.size() * sizeof(float)),
-                  0)
+        EXPECT_TRUE(sameBits(a.dense[c].values, b.dense[c].values))
             << ctx("dense values");
     }
     ASSERT_EQ(a.sparse.size(), b.sparse.size()) << ctx("sparse count");
@@ -239,27 +248,38 @@ expectBatchEqual(const dwrf::RowBatch &a, const dwrf::RowBatch &b,
             << ctx("offsets");
         EXPECT_EQ(a.sparse[c].values, b.sparse[c].values)
             << ctx("sparse values");
-        ASSERT_EQ(a.sparse[c].scores.size(), b.sparse[c].scores.size());
-        EXPECT_EQ(std::memcmp(a.sparse[c].scores.data(),
-                              b.sparse[c].scores.data(),
-                              a.sparse[c].scores.size() * sizeof(float)),
-                  0)
+        EXPECT_TRUE(sameBits(a.sparse[c].scores, b.sparse[c].scores))
             << ctx("scores");
     }
 }
 
 void
-expectLogsIdentical(const BatchLog &baseline, const BatchLog &dedup)
+expectLogsIdentical(const BatchLog &baseline, const BatchLog &other)
 {
-    EXPECT_EQ(baseline.rows, dedup.rows);
-    ASSERT_EQ(baseline.batches.size(), dedup.batches.size());
+    EXPECT_EQ(baseline.rows, other.rows);
+    ASSERT_EQ(baseline.batches.size(), other.batches.size());
     for (const auto &[key, batch] : baseline.batches) {
-        auto it = dedup.batches.find(key);
-        ASSERT_NE(it, dedup.batches.end())
+        auto it = other.batches.find(key);
+        ASSERT_NE(it, other.batches.end())
             << "batch (split " << key.first << ", row " << key.second
-            << ") missing from dedup session";
+            << ") missing from the compared run";
         expectBatchEqual(batch, it->second, key.first, key.second);
     }
+}
+
+/** `diffSpec` with a Sampling op (keep rate `p0`) appended. */
+SessionSpec
+withSampling(const testing::MiniWarehouse &mw, double p0)
+{
+    SessionSpec spec = diffSpec(mw);
+    auto graph = *transforms::TransformGraph::deserialize(
+        spec.serialized_transforms);
+    transforms::TransformSpec sampling;
+    sampling.kind = transforms::OpKind::Sampling;
+    sampling.p0 = p0;
+    graph.add(sampling);
+    spec.setTransforms(graph);
+    return spec;
 }
 
 class DedupDifferentialTest : public ::testing::Test
@@ -426,29 +446,17 @@ TEST_F(DedupDifferentialTest, SamplingGraphBypassesBatchDedup)
     // A graph ending in keep-all Sampling is not row-local: the
     // worker must bypass batch dedup (counted) and still deliver
     // exactly the baseline bytes (keep-all sampling is an identity).
-    auto withSampling = [&](const testing::MiniWarehouse &mw) {
-        SessionSpec spec = diffSpec(mw);
-        auto graph = *transforms::TransformGraph::deserialize(
-            spec.serialized_transforms);
-        transforms::TransformSpec sampling;
-        sampling.kind = transforms::OpKind::Sampling;
-        sampling.p0 = 1.0; // keep everything
-        graph.add(sampling);
-        spec.setTransforms(graph);
-        return spec;
-    };
-
     SessionOptions so;
     so.workers = 2;
     so.clients = 1;
     InProcessSession base_session(*plain_.warehouse,
-                                  withSampling(plain_), so);
+                                  withSampling(plain_, 1.0), so);
     BatchLog baseline;
     base_session.run(baseline.sink());
 
     so.worker.dedup_enabled = true;
     InProcessSession dedup_session(*dedup_.warehouse,
-                                   withSampling(dedup_), so);
+                                   withSampling(dedup_, 1.0), so);
     BatchLog dedup;
     dedup_session.run(dedup.sink());
     Metrics metrics = dedup_session.collectMetrics();
@@ -469,6 +477,105 @@ TEST_F(DedupDifferentialTest, ParallelPipelineStaysByteIdentical)
     so.worker.num_transform_threads = 2;
     BatchLog dedup = runDedup(so);
     expectLogsIdentical(baseline, dedup);
+}
+
+// ---------------------------------------------------------------------
+// Sampling determinism.
+
+TEST_F(DedupDifferentialTest, SamplingIsIndependentOfThreadsAndReplay)
+{
+    // Sampling keeps a row by hashing its identity, so which rows
+    // survive cannot depend on how many transform threads ran, which
+    // thread took a stripe, or whether the split is a replay.
+    auto run = [&](SessionOptions so, SessionResult *result_out) {
+        InProcessSession session(*plain_.warehouse,
+                                 withSampling(plain_, 0.5), so);
+        BatchLog log;
+        SessionResult result = session.run(log.sink());
+        EXPECT_EQ(result.splits_failed, 0u);
+        if (result_out != nullptr)
+            *result_out = result;
+        return log;
+    };
+
+    SessionOptions sync;
+    sync.workers = 1;
+    sync.clients = 1;
+    BatchLog baseline = run(sync, nullptr);
+    // A real sample: neither every row nor none.
+    EXPECT_GT(baseline.rows, kTotalRows / 4);
+    EXPECT_LT(baseline.rows, kTotalRows * 3 / 4);
+
+    for (uint32_t transform : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "1+" << transform
+                                          << " threads");
+        SessionOptions so = sync;
+        so.worker.num_extract_threads = 1;
+        so.worker.num_transform_threads = transform;
+        expectLogsIdentical(baseline, run(so, nullptr));
+    }
+
+    SCOPED_TRACE("worker crash and replay");
+    SessionOptions so;
+    so.workers = 2;
+    so.clients = 2;
+    so.lease_timeout = 0.05;
+    ScopedFault crash(faults::kWorkerCrash, FaultSpec{.trigger_hit = 6});
+    SessionResult result;
+    BatchLog replayed = run(so, &result);
+    EXPECT_GE(result.worker_failures, 1u);
+    expectLogsIdentical(baseline, replayed);
+}
+
+TEST(StreamSampling, PooledTransformKeepsTheInlineRows)
+{
+    // The streaming worker keys Sampling on each row's stream
+    // position, so its transform pool delivers what the inline path
+    // does, batch for batch.
+    constexpr FeatureId kDense = 1, kIds = 2;
+    scribe::LogDevice dev;
+    for (uint32_t i = 0; i < 1000; ++i) {
+        dwrf::Row row;
+        row.label = static_cast<float>(i % 2);
+        row.dense.push_back({kDense, 0.25f * static_cast<float>(i % 13)});
+        row.sparse.push_back(
+            {kIds, {static_cast<int64_t>(i), int64_t{i} * 7}, {}});
+        dwrf::Buffer payload;
+        payload.push_back(i % 2);
+        etl::encodeFeatures(row, payload);
+        dev.append("labeled", static_cast<SimTime>(i), i, payload);
+    }
+    transforms::TransformGraph graph;
+    transforms::TransformSpec hash;
+    hash.kind = transforms::OpKind::SigridHash;
+    hash.inputs = {kIds};
+    hash.output = 100;
+    hash.u0 = 5;
+    hash.u1 = 1u << 16;
+    graph.add(hash);
+    transforms::TransformSpec sampling;
+    sampling.kind = transforms::OpKind::Sampling;
+    sampling.p0 = 0.5;
+    graph.add(sampling);
+
+    auto run = [&](uint32_t threads) {
+        StreamSessionSpec spec;
+        spec.batch_size = 64;
+        spec.num_transform_threads = threads;
+        spec.setTransforms(graph);
+        StreamWorker worker(dev, spec);
+        worker.pump();
+        worker.flush();
+        BatchLog log;
+        auto sink = log.sink();
+        while (auto tensor = worker.popTensor())
+            sink(0, *tensor);
+        return log;
+    };
+    BatchLog inline_log = run(0);
+    EXPECT_GT(inline_log.rows, 250u);
+    EXPECT_LT(inline_log.rows, 750u);
+    expectLogsIdentical(inline_log, run(4));
 }
 
 } // namespace

@@ -403,14 +403,17 @@ TEST_F(FleetTest, WorkersReleaseProgramsOfFinishedTenants)
     // tenant's compiled transform program only while it tracks one of
     // that tenant's splits, and tenants here run one at a time, so no
     // worker may ever hold more than one program — however many
-    // tenants have passed through it.
+    // tenants have passed through it, and however many transform
+    // threads share it.
     constexpr int kTenants = 16;
-    for (uint32_t threads : {0u, 1u}) {
-        SCOPED_TRACE(threads ? "1+1 threads" : "sync");
+    for (auto [extract, transform] :
+         {std::pair{0u, 0u}, std::pair{1u, 1u}, std::pair{1u, 2u}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << extract << "+" << transform << " threads");
         FleetOptions fo;
         fo.initial_workers = 2;
-        fo.worker.num_extract_threads = threads;
-        fo.worker.num_transform_threads = threads;
+        fo.worker.num_extract_threads = extract;
+        fo.worker.num_transform_threads = transform;
         FleetScheduler fleet(*mw_.warehouse, fo);
         TenantLog log;
         double peak = 0.0;

@@ -494,7 +494,8 @@ class SparseUnaryOp : public TransformBase
         = 0;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *in =
             batch.findSparse(spec_.inputs[0]);
@@ -669,7 +670,8 @@ class SparseBinaryOp : public TransformBase
                           dwrf::SparseColumn &out) const = 0;
 
     void
-    apply(dwrf::RowBatch &batch, TransformStats &stats) const override
+    apply(dwrf::RowBatch &batch, TransformStats &stats,
+          uint64_t) const override
     {
         const dwrf::SparseColumn *a = batch.findSparse(spec_.inputs[0]);
         const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
