@@ -8,7 +8,8 @@
  *
  *  - decode suite: MB/s per stream encoding, scalar reference vs
  *    bulk kernel, on pinned-seed synthetic corpora (incl. the Zipfian
- *    dictionary corpus — the paper's categorical-id shape);
+ *    dictionary corpus — the paper's categorical-id shape), and the
+ *    stream CRC32-C, portable kernel vs the dispatched one;
  *  - dpp suite: per-op transform throughput over a realistic
  *    mini-batch (Table XI), end-to-end batches/sec/core through a
  *    live InProcessSession, and p50/p99 Client::next latency.
@@ -34,6 +35,8 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "dpp/session.h"
+#include "dwrf/checksum.h"
+#include "dwrf/checksum_internal.h"
 #include "dwrf/encoding.h"
 #include "test_fixtures_bench.h"
 #include "transforms/graph.h"
@@ -227,12 +230,12 @@ runDecodeSuite(const SuiteConfig &cfg)
         addPair(report, cfg, "rle", encoded,
                 [&] {
                     out.clear();
-                    dwrf::rleDecodeScalar(encoded, out);
+                    dwrf::rleDecodeScalar(encoded, out, n);
                     g_sink = g_sink + static_cast<uint64_t>(out.size());
                 },
                 [&] {
                     out.clear();
-                    dwrf::rleDecode(encoded, out);
+                    dwrf::rleDecode(encoded, out, n);
                     g_sink = g_sink + static_cast<uint64_t>(out.size());
                 });
     }
@@ -278,6 +281,28 @@ runDecodeSuite(const SuiteConfig &cfg)
         double bulk = report.metrics.back().value;
         report.metrics.push_back({"decode.values_zipf_bulk_speedup",
                                   "x", bulk / scalar});
+    }
+
+    // --- CRC32-C over stream-sized (16 KiB) chunks: the portable
+    //     slicing-by-8 kernel vs the dispatched one (SSE4.2 where the
+    //     CPU has it) ---
+    {
+        Rng rng(kSeed ^ 0xc3c);
+        dwrf::Buffer data(4 * n);
+        for (auto &b : data)
+            b = static_cast<uint8_t>(rng.next());
+        constexpr size_t kChunk = 16 * 1024;
+        auto sweep = [&](uint32_t (*crc)(dwrf::ByteSpan)) {
+            uint32_t acc = 0;
+            for (size_t off = 0; off < data.size(); off += kChunk) {
+                size_t len = std::min(kChunk, data.size() - off);
+                acc ^= crc(dwrf::ByteSpan(data.data() + off, len));
+            }
+            g_sink = g_sink + acc;
+        };
+        addPair(report, cfg, "crc32", data,
+                [&] { sweep(dwrf::detail::crc32Portable); },
+                [&] { sweep(dwrf::crc32); });
     }
     return report;
 }

@@ -79,6 +79,19 @@ inline constexpr const char *kBufferWait = "worker.buffer_wait";
 inline constexpr const char *kWorkerDedup = "worker.dedup";
 /** One checked stripe read inside the DWRF reader (incl. retries). */
 inline constexpr const char *kReaderStripe = "reader.read_stripe";
+/** The reader's per-stream steps: Complete spans under the stripe
+ * read (a0 = stream file offset, a1 = bytes the step consumed). CRC
+ * verify of the stored bytes: */
+inline constexpr const char *kReaderChecksum = "reader.checksum";
+/** In-place decryption of the stored bytes. */
+inline constexpr const char *kReaderDecrypt = "reader.decrypt";
+/** Decompression into the reader's scratch. */
+inline constexpr const char *kReaderDecompress = "reader.decompress";
+/** Decoding raw stream bytes into batch columns (or a dictionary). */
+inline constexpr const char *kReaderDecode = "reader.decode";
+/** Decoding a dedup-encoded column: codes gather shared-dictionary
+ * lists, the inline residue decodes as usual. */
+inline constexpr const char *kReaderDictGather = "reader.dict_gather";
 /** One logical read against a RandomAccessSource / Tectonic file. */
 inline constexpr const char *kStorageRead = "storage.read";
 /** One batch handed to a trainer by Client::next. */

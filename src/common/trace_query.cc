@@ -35,6 +35,18 @@ StallReport::render() const
     TablePrinter table({"stage", "seconds", "share_pct"});
     table.addRow({"read", TablePrinter::num(read_s, 4),
                   TablePrinter::num(readPct(), 1)});
+    double t = total();
+    auto step = [&](const char *name, double seconds) {
+        table.addRow({name, TablePrinter::num(seconds, 4),
+                      TablePrinter::num(
+                          t > 0.0 ? 100.0 * seconds / t : 0.0, 1)});
+    };
+    step("  checksum", checksum_s);
+    step("  decrypt", decrypt_s);
+    step("  decompress", decompress_s);
+    step("  decode", decode_s);
+    step("  dict_gather", dict_gather_s);
+    step("  other", readOtherS());
     table.addRow({"transform", TablePrinter::num(transform_s, 4),
                   TablePrinter::num(transformPct(), 1)});
     table.addRow({"deliver", TablePrinter::num(deliver_s, 4),
@@ -268,6 +280,24 @@ TraceQuery::stallReport() const
         0.0, totalDuration(spans::kTransformStripe) - buffer_wait);
     report.deliver_s =
         buffer_wait + totalDuration(spans::kClientDeliver);
+
+    // Reader steps count only inside extract spans, so the split never
+    // claims time read_s does not hold (a reader used outside a
+    // worker's extract loop is left out).
+    const std::pair<const char *, double StallReport::*> steps[] = {
+        {spans::kReaderChecksum, &StallReport::checksum_s},
+        {spans::kReaderDecrypt, &StallReport::decrypt_s},
+        {spans::kReaderDecompress, &StallReport::decompress_s},
+        {spans::kReaderDecode, &StallReport::decode_s},
+        {spans::kReaderDictGather, &StallReport::dict_gather_s},
+    };
+    for (const auto &[name, field] : steps) {
+        for (const SpanNode *node : byName(name)) {
+            if (node->closed &&
+                ancestor(*node, spans::kExtractStripe) != nullptr)
+                report.*field += node->duration();
+        }
+    }
     return report;
 }
 

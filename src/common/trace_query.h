@@ -56,12 +56,29 @@ struct StallReport
     double transform_s = 0.0; ///< transform minus buffer waits
     double deliver_s = 0.0;   ///< buffer waits + client delivery
 
+    // read_s split by reader step: the reader.* child spans that sit
+    // inside extract spans. They never overlap one another, so they
+    // sum to at most read_s; readOtherS() is the rest (storage IO,
+    // read planning, retry backoff).
+    double checksum_s = 0.0;
+    double decrypt_s = 0.0;
+    double decompress_s = 0.0;
+    double decode_s = 0.0;
+    double dict_gather_s = 0.0;
+
     double total() const { return read_s + transform_s + deliver_s; }
+    double readStepsS() const
+    {
+        return checksum_s + decrypt_s + decompress_s + decode_s +
+               dict_gather_s;
+    }
+    double readOtherS() const { return read_s - readStepsS(); }
     double readPct() const;
     double transformPct() const;
     double deliverPct() const;
 
-    /** Table VII-style rendering via TablePrinter. */
+    /** Table VII-style rendering via TablePrinter, with the read
+     * stage's steps on indented rows under it. */
     std::string render() const;
 };
 

@@ -13,8 +13,7 @@
 #define DSI_DWRF_CIPHER_H
 
 #include <cstdint>
-
-#include "dwrf/encoding.h"
+#include <span>
 
 namespace dsi::dwrf {
 
@@ -25,10 +24,12 @@ class StreamCipher
     explicit StreamCipher(uint64_t key) : key_(key) {}
 
     /**
-     * XOR `data` in place with the keystream for (key, nonce). Calling
-     * twice with the same nonce restores the original bytes.
+     * XOR `data` in place with the keystream for (key, nonce), one
+     * 64-bit keystream word per 8 bytes (byte i takes bits 8*(i%8) up
+     * of word i/8). Calling twice with the same nonce restores the
+     * original bytes.
      */
-    void apply(uint64_t nonce, Buffer &data) const;
+    void apply(uint64_t nonce, std::span<uint8_t> data) const;
 
     uint64_t key() const { return key_; }
 

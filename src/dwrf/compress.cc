@@ -79,48 +79,51 @@ lzCompress(ByteSpan in, Buffer &out)
         emit(n, 0, 0);
 }
 
-std::optional<Buffer>
-lzDecompress(ByteSpan in)
+/**
+ * Decode the token stream after the size header into `out`, which
+ * holds exactly the block's raw length. Literals and matches that do
+ * not overlap themselves are memcpy'd; a self-overlapping match
+ * (offset < length, the RLE shape) copies forward byte by byte.
+ */
+bool
+lzDecompress(ByteSpan in, size_t pos, uint8_t *out, size_t out_size)
 {
-    size_t pos = 0;
-    uint64_t out_size;
-    if (!getVarint(in, pos, out_size))
-        return std::nullopt;
-    Buffer out;
-    out.reserve(out_size);
-
-    while (out.size() < out_size) {
+    size_t produced = 0;
+    while (produced < out_size) {
         uint64_t lit_len;
         if (!getVarint(in, pos, lit_len))
-            return std::nullopt;
-        if (pos + lit_len > in.size() ||
-            out.size() + lit_len > out_size) {
-            return std::nullopt;
-        }
-        out.insert(out.end(), in.begin() + pos,
-                   in.begin() + pos + lit_len);
+            return false;
+        if (lit_len > in.size() - pos || lit_len > out_size - produced)
+            return false;
+        std::memcpy(out + produced, in.data() + pos, lit_len);
         pos += lit_len;
-        if (out.size() == out_size)
+        produced += lit_len;
+        if (produced == out_size)
             break;
 
         uint64_t match_len;
         if (!getVarint(in, pos, match_len))
-            return std::nullopt;
+            return false;
         if (match_len == 0)
             continue;
         uint64_t offset;
         if (!getVarint(in, pos, offset))
-            return std::nullopt;
-        if (offset == 0 || offset > out.size() ||
-            out.size() + match_len > out_size) {
-            return std::nullopt;
+            return false;
+        if (offset == 0 || offset > produced ||
+            match_len > out_size - produced) {
+            return false;
         }
-        // Byte-by-byte copy: matches may self-overlap (RLE-style).
-        size_t src = out.size() - offset;
-        for (uint64_t k = 0; k < match_len; ++k)
-            out.push_back(out[src + k]);
+        uint8_t *dst = out + produced;
+        const uint8_t *src = dst - offset;
+        if (offset >= match_len) {
+            std::memcpy(dst, src, match_len);
+        } else {
+            for (uint64_t k = 0; k < match_len; ++k)
+                dst[k] = src[k];
+        }
+        produced += match_len;
     }
-    return out;
+    return true;
 }
 
 } // namespace
@@ -140,21 +143,26 @@ compress(Codec codec, ByteSpan in, Buffer &out)
     dsi_panic("unknown codec %d", static_cast<int>(codec));
 }
 
-std::optional<Buffer>
-decompress(Codec codec, ByteSpan in)
+std::optional<ByteSpan>
+decompress(Codec codec, ByteSpan in, uint64_t raw_length, Buffer &scratch)
 {
+    size_t pos = 0;
+    uint64_t header;
+    if (!getVarint(in, pos, header) || header != raw_length)
+        return std::nullopt;
     switch (codec) {
-      case Codec::None: {
-        size_t pos = 0;
-        uint64_t n;
-        if (!getVarint(in, pos, n) || pos + n != in.size())
+      case Codec::None:
+        if (in.size() - pos != raw_length)
             return std::nullopt;
-        return Buffer(in.begin() + pos, in.end());
-      }
+        return in.subspan(pos);
       case Codec::Lz:
-        return lzDecompress(in);
+        if (scratch.size() < raw_length)
+            scratch.resize(raw_length);
+        if (!lzDecompress(in, pos, scratch.data(), raw_length))
+            return std::nullopt;
+        return ByteSpan(scratch.data(), raw_length);
     }
-    dsi_panic("unknown codec %d", static_cast<int>(codec));
+    return std::nullopt;
 }
 
 } // namespace dsi::dwrf

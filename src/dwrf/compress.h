@@ -33,10 +33,19 @@ enum class Codec : uint8_t
 void compress(Codec codec, ByteSpan in, Buffer &out);
 
 /**
- * Decompress a block produced by compress(). Returns std::nullopt on
- * malformed input.
+ * Decompress a block produced by compress() whose raw length the
+ * caller already knows (StreamInfo::raw_length). A block whose size
+ * header disagrees with `raw_length` is rejected before anything is
+ * allocated, so a hostile header cannot request a huge buffer.
+ *
+ * Returns the raw bytes, or std::nullopt on malformed input. For
+ * Codec::None the result is a view into `in` (no copy); for Codec::Lz
+ * it is the first `raw_length` bytes of `scratch`, which grows to the
+ * largest block seen and is reused by the next call. The view is
+ * valid until `in` or `scratch` changes.
  */
-std::optional<Buffer> decompress(Codec codec, ByteSpan in);
+std::optional<ByteSpan> decompress(Codec codec, ByteSpan in,
+                                   uint64_t raw_length, Buffer &scratch);
 
 } // namespace dsi::dwrf
 

@@ -198,16 +198,21 @@ bool
 decodeSharedListDict(ByteSpan in, DecodedListDict &out)
 {
     size_t pos = 0;
+    // Entries are distinct lists, so all but one hold at least one
+    // value of at least one byte: a count above the stream's size is
+    // forged, and is rejected before anything is sized by it.
     uint64_t n_entries;
-    if (!getVarint(in, pos, n_entries) || pos >= in.size())
+    if (!getVarint(in, pos, n_entries) || n_entries > in.size() ||
+        pos >= in.size()) {
         return false;
+    }
     out.scored = in[pos++] != 0;
 
     ByteSpan lengths_block;
     if (!getBlock(in, pos, lengths_block))
         return false;
     std::vector<int64_t> lengths;
-    if (!rleDecode(lengths_block, lengths) ||
+    if (!rleDecode(lengths_block, lengths, n_entries) ||
         lengths.size() != n_entries) {
         return false;
     }
@@ -268,7 +273,7 @@ decodeListDictColumn(ByteSpan in, uint32_t rows,
     if (!getBlock(in, pos, lengths_block))
         return false;
     std::vector<int64_t> inline_lengths;
-    if (!rleDecode(lengths_block, inline_lengths) ||
+    if (!rleDecode(lengths_block, inline_lengths, n_inline) ||
         inline_lengths.size() != n_inline) {
         return false;
     }

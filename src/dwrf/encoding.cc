@@ -282,14 +282,17 @@ rleEncode(const std::vector<int64_t> &values, Buffer &out)
 }
 
 bool
-rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values)
+rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values,
+                uint64_t limit)
 {
     size_t pos = 0;
     while (pos < in.size()) {
         uint8_t tag = in[pos++];
         uint64_t n;
-        if (!getVarint(in, pos, n))
+        if (!getVarint(in, pos, n) || values.size() > limit ||
+            n > limit - values.size()) {
             return false;
+        }
         if (tag == kRunTag) {
             int64_t base, delta;
             if (!getSignedVarint(in, pos, base) ||
@@ -321,14 +324,16 @@ rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values)
 }
 
 bool
-rleDecode(ByteSpan in, std::vector<int64_t> &values)
+rleDecode(ByteSpan in, std::vector<int64_t> &values, uint64_t limit)
 {
     size_t pos = 0;
     while (pos < in.size()) {
         uint8_t tag = in[pos++];
         uint64_t n;
-        if (!getVarint(in, pos, n))
+        if (!getVarint(in, pos, n) || values.size() > limit ||
+            n > limit - values.size()) {
             return false;
+        }
         if (tag == kRunTag) {
             int64_t base, delta;
             if (!getSignedVarint(in, pos, base) ||

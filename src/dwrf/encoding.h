@@ -111,14 +111,20 @@ bool getU64(ByteSpan in, size_t &pos, uint64_t &v);
 void rleEncode(const std::vector<int64_t> &values, Buffer &out);
 
 /**
- * Decode an RLE stream; returns false on malformed input. Bulk
- * kernel: runs materialize via a resize + linear fill and literal
- * groups decode through getSignedVarintBlock.
+ * Decode an RLE stream, appending to `values`; returns false on
+ * malformed input. `limit` is the most values `values` may hold
+ * afterwards — the count the caller already knows (a stripe's rows,
+ * a dictionary's entries). A run or literal group that would pass it
+ * is rejected before anything is allocated, so a forged run length
+ * cannot request a huge buffer. Bulk kernel: runs materialize via a
+ * resize + linear fill and literal groups decode through
+ * getSignedVarintBlock.
  */
-bool rleDecode(ByteSpan in, std::vector<int64_t> &values);
+bool rleDecode(ByteSpan in, std::vector<int64_t> &values, uint64_t limit);
 
 /** Scalar reference decoder (one value per call); same contract. */
-bool rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values);
+bool rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values,
+                     uint64_t limit);
 
 /**
  * Categorical-value stream encoding with optional dictionary

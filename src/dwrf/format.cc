@@ -33,6 +33,17 @@ getStreamInfo(ByteSpan data, size_t &pos, StreamInfo &s)
            getVarint(data, pos, s.value_count);
 }
 
+/**
+ * Read a record count and reject one larger than the bytes left:
+ * every record takes at least one byte, so a bigger count is forged
+ * and must not size a vector.
+ */
+bool
+getCount(ByteSpan data, size_t &pos, uint64_t &count)
+{
+    return getVarint(data, pos, count) && count <= data.size() - pos;
+}
+
 } // namespace
 
 Buffer
@@ -69,10 +80,13 @@ FileFooter::deserialize(ByteSpan data)
         return std::nullopt;
     if (pos + 3 > data.size())
         return std::nullopt;
-    f.codec = static_cast<Codec>(data[pos++]);
+    uint8_t codec = data[pos++];
+    if (codec > static_cast<uint8_t>(Codec::Lz))
+        return std::nullopt;
+    f.codec = static_cast<Codec>(codec);
     f.encrypted = data[pos++] != 0;
     f.flattened = data[pos++] != 0;
-    if (!getVarint(data, pos, v))
+    if (!getCount(data, pos, v))
         return std::nullopt;
     f.stripes.resize(v);
     for (auto &stripe : f.stripes) {
@@ -81,7 +95,7 @@ FileFooter::deserialize(ByteSpan data)
             !getVarint(data, pos, rows) ||
             !getVarint(data, pos, stripe.offset) ||
             !getVarint(data, pos, stripe.length) ||
-            !getVarint(data, pos, nstreams)) {
+            !getCount(data, pos, nstreams)) {
             return std::nullopt;
         }
         stripe.rows = static_cast<uint32_t>(rows);
@@ -91,7 +105,7 @@ FileFooter::deserialize(ByteSpan data)
                 return std::nullopt;
         }
     }
-    if (!getVarint(data, pos, v))
+    if (!getCount(data, pos, v))
         return std::nullopt;
     f.shared_dicts.resize(v);
     for (auto &s : f.shared_dicts) {

@@ -46,7 +46,8 @@ FileReader::FileReader(const RandomAccessSource &source,
     : source_(source), options_(std::move(options)),
       cipher_(options_.cipher_key),
       backoff_(BackoffOptions{.base_us = options_.retry_backoff_us,
-                              .cap_us = kRetryBackoffCapUs})
+                              .cap_us = kRetryBackoffCapUs}),
+      projection_(options_.projection.begin(), options_.projection.end())
 {
     // Fetch the tail, then the footer it points at. An unreadable
     // footer leaves the reader invalid (recoverable) rather than
@@ -79,43 +80,48 @@ std::vector<size_t>
 FileReader::selectStreams(const StripeInfo &stripe) const
 {
     std::vector<size_t> wanted;
-    if (options_.projection.empty()) {
-        wanted.resize(stripe.streams.size());
-        for (size_t i = 0; i < wanted.size(); ++i)
-            wanted[i] = i;
-        return wanted;
-    }
-    std::unordered_set<FeatureId> proj(options_.projection.begin(),
-                                       options_.projection.end());
+    wanted.reserve(stripe.streams.size());
     for (size_t i = 0; i < stripe.streams.size(); ++i) {
         const auto &s = stripe.streams[i];
         // Labels and map blobs are always needed; feature streams only
         // when projected.
-        if (s.feature == kNoFeature || proj.count(s.feature))
+        if (s.feature == kNoFeature || projected(s.feature))
             wanted.push_back(i);
     }
     return wanted;
 }
 
-Buffer
-FileReader::fetchStream(const StripeInfo &stripe, size_t stream_idx,
-                        const std::vector<PlannedIo> &plan,
-                        const std::vector<Buffer> &io_data) const
+namespace {
+
+/** Stream `stream_idx`'s stored bytes inside the IO buffer that
+ * fetched them. */
+std::span<uint8_t>
+storedBytes(const StripeInfo &stripe, size_t stream_idx,
+            const std::vector<PlannedIo> &plan,
+            std::vector<Buffer> &io_data)
 {
     const auto &s = stripe.streams[stream_idx];
     for (size_t p = 0; p < plan.size(); ++p) {
         const auto &io = plan[p];
         if (s.offset >= io.offset &&
             s.offset + s.length <= io.offset + io.length) {
-            Bytes rel = s.offset - io.offset;
-            return Buffer(
-                io_data[p].begin() + static_cast<ptrdiff_t>(rel),
-                io_data[p].begin() +
-                    static_cast<ptrdiff_t>(rel + s.length));
+            return std::span<uint8_t>(io_data[p]).subspan(
+                s.offset - io.offset, s.length);
         }
     }
     dsi_panic("stream %zu not covered by IO plan", stream_idx);
 }
+
+/** Emit the reader-step span `timer` began over stream `info`: one
+ * Complete span under the stripe read, readStripe's ambient parent. */
+void
+stepDone(trace::Timer &timer, const char *step, const StreamInfo &info,
+         Bytes bytes)
+{
+    timer.complete(step, trace::currentParent(), info.offset, bytes);
+}
+
+} // namespace
 
 ReadStatus
 FileReader::readStripe(size_t stripe_index, RowBatch &out)
@@ -216,12 +222,15 @@ FileReader::loadSharedDict(FeatureId feature,
     stats_.bytes_needed += info->length;
     ++stats_.ios;
 
-    Buffer raw;
-    ReadStatus st = openStream(*info, std::move(stored), raw);
+    ByteSpan raw;
+    ReadStatus st = openStream(*info, stored, raw);
     if (st != ReadStatus::Ok)
         return st;
+    trace::Timer decode;
     DecodedListDict dict;
-    if (!decodeSharedListDict(raw, dict)) {
+    bool ok = decodeSharedListDict(raw, dict);
+    stepDone(decode, trace::spans::kReaderDecode, *info, raw.size());
+    if (!ok) {
         ++stats_.decode_errors;
         return ReadStatus::DecodeError;
     }
@@ -231,35 +240,47 @@ FileReader::loadSharedDict(FeatureId feature,
 }
 
 ReadStatus
-FileReader::openStream(const StreamInfo &info, Buffer stored,
-                       Buffer &out)
+FileReader::openStream(const StreamInfo &info, std::span<uint8_t> stored,
+                       ByteSpan &raw)
 {
-    if (options_.verify_checksums && crc32(stored) != info.checksum) {
-        ++stats_.checksum_mismatches;
-        dsi_warn("checksum mismatch in stream at offset %llu "
-                 "(corrupt replica?)",
-                 static_cast<unsigned long long>(info.offset));
-        // Tell the source which bytes failed verification so a
-        // replicated backend can quarantine and read-repair the
-        // replica that served them; the retry that follows rotates
-        // to a healthy copy.
-        source_.reportCorruption(info.offset, info.length);
-        return ReadStatus::ChecksumMismatch;
+    if (options_.verify_checksums) {
+        trace::Timer timer;
+        bool match = crc32(stored) == info.checksum;
+        stepDone(timer, trace::spans::kReaderChecksum, info,
+                 stored.size());
+        if (!match) {
+            ++stats_.checksum_mismatches;
+            dsi_warn("checksum mismatch in stream at offset %llu "
+                     "(corrupt replica?)",
+                     static_cast<unsigned long long>(info.offset));
+            // Tell the source which bytes failed verification so a
+            // replicated backend can quarantine and read-repair the
+            // replica that served them; the retry that follows
+            // rotates to a healthy copy.
+            source_.reportCorruption(info.offset, info.length);
+            return ReadStatus::ChecksumMismatch;
+        }
     }
     if (footer_->encrypted) {
+        trace::Timer timer;
         cipher_.apply(info.offset, stored);
+        stepDone(timer, trace::spans::kReaderDecrypt, info,
+                 stored.size());
         stats_.bytes_decrypted += stored.size();
     }
-    auto raw = decompress(footer_->codec, stored);
-    if (!raw.has_value() || raw->size() != info.raw_length) {
+    trace::Timer timer;
+    auto decompressed =
+        decompress(footer_->codec, stored, info.raw_length, raw_scratch_);
+    stepDone(timer, trace::spans::kReaderDecompress, info, stored.size());
+    if (!decompressed.has_value()) {
         ++stats_.decode_errors;
         dsi_warn("stream at offset %llu failed to decode",
                  static_cast<unsigned long long>(info.offset));
         return ReadStatus::DecodeError;
     }
-    stats_.bytes_decompressed += raw->size();
+    raw = *decompressed;
+    stats_.bytes_decompressed += raw.size();
     ++stats_.streams_decoded;
-    out = std::move(*raw);
     return ReadStatus::Ok;
 }
 
@@ -331,7 +352,7 @@ ReadStatus
 FileReader::decodeFlattened(const StripeInfo &stripe,
                             const std::vector<size_t> &wanted,
                             const std::vector<PlannedIo> &plan,
-                            const std::vector<Buffer> &io_data,
+                            std::vector<Buffer> &io_data,
                             RowBatch &batch)
 {
     batch.rows = stripe.rows;
@@ -341,19 +362,25 @@ FileReader::decodeFlattened(const StripeInfo &stripe,
         ++stats_.decode_errors;
         return ReadStatus::DecodeError;
     };
+    // Each opened stream's view lives until the next open, so every
+    // stream is consumed before the next one is opened.
+    auto open = [&](size_t idx, ByteSpan &raw) {
+        return openStream(stripe.streams[idx],
+                          storedBytes(stripe, idx, plan, io_data), raw);
+    };
+    auto decoded = [&](trace::Timer &timer, const char *step,
+                       size_t idx) {
+        stepDone(timer, step, stripe.streams[idx],
+                 stripe.streams[idx].raw_length);
+    };
 
     // Group the wanted streams by feature so value/length/score
     // streams of one feature decode together.
     struct FeatureStreams
     {
-        const StreamInfo *present = nullptr;
-        const StreamInfo *dense_values = nullptr;
-        const StreamInfo *lengths = nullptr;
-        const StreamInfo *sparse_values = nullptr;
-        const StreamInfo *scores = nullptr;
-        const StreamInfo *list_dict = nullptr;
-        size_t present_idx = 0, dense_idx = 0, lengths_idx = 0,
-               values_idx = 0, scores_idx = 0, list_dict_idx = 0;
+        size_t present = SIZE_MAX, dense_values = SIZE_MAX,
+               lengths = SIZE_MAX, sparse_values = SIZE_MAX,
+               scores = SIZE_MAX, list_dict = SIZE_MAX;
     };
     std::vector<std::pair<FeatureId, FeatureStreams>> features;
     auto feature_slot = [&](FeatureId id) -> FeatureStreams & {
@@ -368,53 +395,37 @@ FileReader::decodeFlattened(const StripeInfo &stripe,
         const auto &s = stripe.streams[idx];
         switch (s.kind) {
           case StreamKind::Labels: {
-            Buffer raw;
-            ReadStatus st = openStream(
-                s, fetchStream(stripe, idx, plan, io_data), raw);
+            ByteSpan raw;
+            ReadStatus st = open(idx, raw);
             if (st != ReadStatus::Ok)
                 return st;
+            trace::Timer timer;
             size_t pos = 0;
             batch.labels.resize(stripe.rows);
-            if (!getFloatBlock(raw, pos, batch.labels))
+            bool ok = getFloatBlock(raw, pos, batch.labels);
+            decoded(timer, trace::spans::kReaderDecode, idx);
+            if (!ok)
                 return decode_fail();
             break;
           }
-          case StreamKind::DensePresent: {
-            auto &fs = feature_slot(s.feature);
-            fs.present = &s;
-            fs.present_idx = idx;
+          case StreamKind::DensePresent:
+            feature_slot(s.feature).present = idx;
             break;
-          }
-          case StreamKind::DenseValues: {
-            auto &fs = feature_slot(s.feature);
-            fs.dense_values = &s;
-            fs.dense_idx = idx;
+          case StreamKind::DenseValues:
+            feature_slot(s.feature).dense_values = idx;
             break;
-          }
-          case StreamKind::SparseLengths: {
-            auto &fs = feature_slot(s.feature);
-            fs.lengths = &s;
-            fs.lengths_idx = idx;
+          case StreamKind::SparseLengths:
+            feature_slot(s.feature).lengths = idx;
             break;
-          }
-          case StreamKind::SparseValues: {
-            auto &fs = feature_slot(s.feature);
-            fs.sparse_values = &s;
-            fs.values_idx = idx;
+          case StreamKind::SparseValues:
+            feature_slot(s.feature).sparse_values = idx;
             break;
-          }
-          case StreamKind::SparseScores: {
-            auto &fs = feature_slot(s.feature);
-            fs.scores = &s;
-            fs.scores_idx = idx;
+          case StreamKind::SparseScores:
+            feature_slot(s.feature).scores = idx;
             break;
-          }
-          case StreamKind::SparseListDict: {
-            auto &fs = feature_slot(s.feature);
-            fs.list_dict = &s;
-            fs.list_dict_idx = idx;
+          case StreamKind::SparseListDict:
+            feature_slot(s.feature).list_dict = idx;
             break;
-          }
           case StreamKind::SharedListDict:
             // File-level dictionary streams are indexed from the
             // footer, never from a stripe.
@@ -425,37 +436,34 @@ FileReader::decodeFlattened(const StripeInfo &stripe,
     }
 
     for (auto &[fid, fs] : features) {
-        if (fs.present && fs.dense_values) {
+        if (fs.present != SIZE_MAX && fs.dense_values != SIZE_MAX) {
             DenseColumn col = takeSpareDense();
             col.id = fid;
-            Buffer present_raw;
-            ReadStatus st = openStream(
-                *fs.present,
-                fetchStream(stripe, fs.present_idx, plan, io_data),
-                present_raw);
+            ByteSpan present_raw;
+            ReadStatus st = open(fs.present, present_raw);
             if (st != ReadStatus::Ok)
                 return st;
+            trace::Timer present_timer;
             col.present.assign(present_raw.begin(), present_raw.end());
+            decoded(present_timer, trace::spans::kReaderDecode,
+                    fs.present);
             if (col.present.size() != (stripe.rows + 7) / 8)
                 return decode_fail();
-            Buffer values_raw;
-            st = openStream(
-                *fs.dense_values,
-                fetchStream(stripe, fs.dense_idx, plan, io_data),
-                values_raw);
+            ByteSpan values_raw;
+            st = open(fs.dense_values, values_raw);
             if (st != ReadStatus::Ok)
                 return st;
+            trace::Timer values_timer;
             col.values.assign(stripe.rows, 0.0f);
             // Present rows' floats are stored contiguously: one bounds
             // check for the whole stream, then a straight copy (all
             // rows present) or a branch-per-row scatter.
             size_t n_present = presentCount(col.present, stripe.rows);
-            if (values_raw.size() < n_present * sizeof(float))
-                return decode_fail();
-            if (n_present == stripe.rows) {
+            bool ok = values_raw.size() >= n_present * sizeof(float);
+            if (ok && n_present == stripe.rows) {
                 std::memcpy(col.values.data(), values_raw.data(),
                             n_present * sizeof(float));
-            } else {
+            } else if (ok) {
                 const uint8_t *src = values_raw.data();
                 for (uint32_t r = 0; r < stripe.rows; ++r) {
                     if (col.isPresent(r)) {
@@ -464,8 +472,12 @@ FileReader::decodeFlattened(const StripeInfo &stripe,
                     }
                 }
             }
+            decoded(values_timer, trace::spans::kReaderDecode,
+                    fs.dense_values);
+            if (!ok)
+                return decode_fail();
             batch.dense.push_back(std::move(col));
-        } else if (fs.list_dict) {
+        } else if (fs.list_dict != SIZE_MAX) {
             // Dedup-encoded column: per-row codes gather shared-dict
             // entries; the inline residue decodes via the ordinary
             // rle/value codecs (dwrf/dedup.h).
@@ -475,62 +487,69 @@ FileReader::decodeFlattened(const StripeInfo &stripe,
                 return st;
             SparseColumn col = takeSpareSparse();
             col.id = fid;
-            Buffer raw;
-            st = openStream(
-                *fs.list_dict,
-                fetchStream(stripe, fs.list_dict_idx, plan, io_data),
-                raw);
+            ByteSpan raw;
+            st = open(fs.list_dict, raw);
             if (st != ReadStatus::Ok)
                 return st;
+            trace::Timer timer;
             ListDictDecodeStats ds;
-            if (!decodeListDictColumn(raw, stripe.rows, dict, col,
-                                      &ds)) {
+            bool ok = decodeListDictColumn(raw, stripe.rows, dict, col,
+                                           &ds);
+            decoded(timer, trace::spans::kReaderDictGather,
+                    fs.list_dict);
+            if (!ok)
                 return decode_fail();
-            }
             stats_.dict_list_refs += ds.dict_refs;
             stats_.dict_lists_inline += ds.inline_lists;
             batch.sparse.push_back(std::move(col));
-        } else if (fs.lengths && fs.sparse_values) {
+        } else if (fs.lengths != SIZE_MAX &&
+                   fs.sparse_values != SIZE_MAX) {
             SparseColumn col = takeSpareSparse();
             col.id = fid;
-            Buffer lengths_raw;
-            ReadStatus st = openStream(
-                *fs.lengths,
-                fetchStream(stripe, fs.lengths_idx, plan, io_data),
-                lengths_raw);
+            ByteSpan lengths_raw;
+            ReadStatus st = open(fs.lengths, lengths_raw);
             if (st != ReadStatus::Ok)
                 return st;
+            trace::Timer lengths_timer;
             scratch_lengths_.clear();
-            bool ok = rleDecode(lengths_raw, scratch_lengths_);
-            if (!ok || scratch_lengths_.size() != stripe.rows)
-                return decode_fail();
-            col.offsets.assign(stripe.rows + 1, 0);
-            for (uint32_t r = 0; r < stripe.rows; ++r) {
-                col.offsets[r + 1] =
-                    col.offsets[r] +
-                    static_cast<uint32_t>(scratch_lengths_[r]);
+            bool ok = rleDecode(lengths_raw, scratch_lengths_,
+                                stripe.rows) &&
+                      scratch_lengths_.size() == stripe.rows;
+            if (ok) {
+                col.offsets.assign(stripe.rows + 1, 0);
+                for (uint32_t r = 0; r < stripe.rows; ++r) {
+                    col.offsets[r + 1] =
+                        col.offsets[r] +
+                        static_cast<uint32_t>(scratch_lengths_[r]);
+                }
             }
-            Buffer values_raw;
-            st = openStream(
-                *fs.sparse_values,
-                fetchStream(stripe, fs.values_idx, plan, io_data),
-                values_raw);
+            decoded(lengths_timer, trace::spans::kReaderDecode,
+                    fs.lengths);
+            if (!ok)
+                return decode_fail();
+            ByteSpan values_raw;
+            st = open(fs.sparse_values, values_raw);
             if (st != ReadStatus::Ok)
                 return st;
-            ok = decodeValues(values_raw, col.values);
-            if (!ok || col.values.size() != col.offsets[stripe.rows])
+            trace::Timer values_timer;
+            ok = decodeValues(values_raw, col.values) &&
+                 col.values.size() == col.offsets[stripe.rows];
+            decoded(values_timer, trace::spans::kReaderDecode,
+                    fs.sparse_values);
+            if (!ok)
                 return decode_fail();
-            if (fs.scores) {
-                Buffer scores_raw;
-                st = openStream(
-                    *fs.scores,
-                    fetchStream(stripe, fs.scores_idx, plan, io_data),
-                    scores_raw);
+            if (fs.scores != SIZE_MAX) {
+                ByteSpan scores_raw;
+                st = open(fs.scores, scores_raw);
                 if (st != ReadStatus::Ok)
                     return st;
+                trace::Timer scores_timer;
                 col.scores.resize(col.values.size());
                 size_t pos = 0;
-                if (!getFloatBlock(scores_raw, pos, col.scores))
+                ok = getFloatBlock(scores_raw, pos, col.scores);
+                decoded(scores_timer, trace::spans::kReaderDecode,
+                        fs.scores);
+                if (!ok)
                     return decode_fail();
             }
             batch.sparse.push_back(std::move(col));
@@ -545,16 +564,13 @@ ReadStatus
 FileReader::decodeMapBlob(const StripeInfo &stripe,
                           const std::vector<size_t> &wanted,
                           const std::vector<PlannedIo> &plan,
-                          const std::vector<Buffer> &io_data,
+                          std::vector<Buffer> &io_data,
                           RowBatch &out)
 {
     // Legacy path: decode every row of the blob, then drop unprojected
     // features. This is the paper's "reading the entire row" baseline.
     std::vector<Row> rows;
     rows.reserve(stripe.rows);
-    std::unordered_set<FeatureId> proj(options_.projection.begin(),
-                                       options_.projection.end());
-    bool keep_all = proj.empty();
     auto decode_fail = [&]() {
         ++stats_.decode_errors;
         return ReadStatus::DecodeError;
@@ -564,62 +580,75 @@ FileReader::decodeMapBlob(const StripeInfo &stripe,
         const auto &s = stripe.streams[idx];
         if (s.kind != StreamKind::MapBlob)
             continue;
-        Buffer raw;
+        ByteSpan raw;
         ReadStatus st = openStream(
-            s, fetchStream(stripe, idx, plan, io_data), raw);
+            s, storedBytes(stripe, idx, plan, io_data), raw);
         if (st != ReadStatus::Ok)
             return st;
-        size_t pos = 0;
-        for (uint32_t r = 0; r < stripe.rows; ++r) {
-            Row row;
-            bool ok = getFloat(raw, pos, row.label);
-            uint64_t ndense;
-            ok = ok && getVarint(raw, pos, ndense);
-            if (!ok)
-                return decode_fail();
-            for (uint64_t d = 0; d < ndense; ++d) {
-                uint64_t id;
-                float v;
-                if (!getVarint(raw, pos, id) || !getFloat(raw, pos, v))
-                    return decode_fail();
-                if (keep_all || proj.count(static_cast<FeatureId>(id)))
-                    row.dense.push_back(
-                        {static_cast<FeatureId>(id), v});
-            }
-            uint64_t nsparse;
-            if (!getVarint(raw, pos, nsparse))
-                return decode_fail();
-            for (uint64_t si = 0; si < nsparse; ++si) {
-                uint64_t id, len;
-                if (!getVarint(raw, pos, id) ||
-                    !getVarint(raw, pos, len)) {
-                    return decode_fail();
-                }
-                SparseFeature f;
-                f.id = static_cast<FeatureId>(id);
-                f.values.resize(len);
-                for (auto &v : f.values) {
-                    if (!getSignedVarint(raw, pos, v))
-                        return decode_fail();
-                }
-                if (pos >= raw.size())
-                    return decode_fail();
-                bool scored = raw[pos++] != 0;
-                if (scored) {
-                    f.scores.resize(len);
-                    for (auto &sc : f.scores) {
-                        if (!getFloat(raw, pos, sc))
-                            return decode_fail();
-                    }
-                }
-                if (keep_all || proj.count(f.id))
-                    row.sparse.push_back(std::move(f));
-            }
-            rows.push_back(std::move(row));
-        }
+        trace::Timer timer;
+        bool ok = decodeBlobRows(raw, stripe.rows, rows);
+        stepDone(timer, trace::spans::kReaderDecode, s, s.raw_length);
+        if (!ok)
+            return decode_fail();
     }
     out = batchFromRows(rows);
     return ReadStatus::Ok;
+}
+
+bool
+FileReader::decodeBlobRows(ByteSpan raw, uint32_t count,
+                           std::vector<Row> &rows) const
+{
+    size_t pos = 0;
+    for (uint32_t r = 0; r < count; ++r) {
+        Row row;
+        uint64_t ndense;
+        if (!getFloat(raw, pos, row.label) ||
+            !getVarint(raw, pos, ndense)) {
+            return false;
+        }
+        for (uint64_t d = 0; d < ndense; ++d) {
+            uint64_t id;
+            float v;
+            if (!getVarint(raw, pos, id) || !getFloat(raw, pos, v))
+                return false;
+            if (projected(static_cast<FeatureId>(id)))
+                row.dense.push_back({static_cast<FeatureId>(id), v});
+        }
+        uint64_t nsparse;
+        if (!getVarint(raw, pos, nsparse))
+            return false;
+        for (uint64_t si = 0; si < nsparse; ++si) {
+            uint64_t id, len;
+            // Each value takes at least one byte: a longer list is
+            // forged and must not size a vector.
+            if (!getVarint(raw, pos, id) || !getVarint(raw, pos, len) ||
+                len > raw.size() - pos) {
+                return false;
+            }
+            SparseFeature f;
+            f.id = static_cast<FeatureId>(id);
+            f.values.resize(len);
+            for (auto &v : f.values) {
+                if (!getSignedVarint(raw, pos, v))
+                    return false;
+            }
+            if (pos >= raw.size())
+                return false;
+            bool scored = raw[pos++] != 0;
+            if (scored) {
+                f.scores.resize(len);
+                for (auto &sc : f.scores) {
+                    if (!getFloat(raw, pos, sc))
+                        return false;
+                }
+            }
+            if (projected(f.id))
+                row.sparse.push_back(std::move(f));
+        }
+        rows.push_back(std::move(row));
+    }
+    return true;
 }
 
 } // namespace dsi::dwrf

@@ -13,10 +13,11 @@
 #ifndef DSI_DWRF_READER_H
 #define DSI_DWRF_READER_H
 
-#include <optional>
-#include <vector>
-
 #include <map>
+#include <optional>
+#include <span>
+#include <unordered_set>
+#include <vector>
 
 #include "common/backoff.h"
 #include "common/deadline.h"
@@ -191,6 +192,12 @@ class FileReader
   private:
     ReadStatus readStripeOnce(size_t stripe_index, RowBatch &out);
     std::vector<size_t> selectStreams(const StripeInfo &stripe) const;
+    /** True when `feature` is materialized (always, without a
+     * projection). */
+    bool projected(FeatureId feature) const
+    {
+        return projection_.empty() || projection_.count(feature) != 0;
+    }
     /**
      * Fetch + decode `feature`'s shared list dictionary (cached after
      * the first use, so cross-stripe references cost one IO per
@@ -201,22 +208,29 @@ class FileReader
      */
     ReadStatus loadSharedDict(FeatureId feature,
                               const DecodedListDict *&out);
-    Buffer fetchStream(const StripeInfo &stripe, size_t stream_idx,
-                       const std::vector<PlannedIo> &plan,
-                       const std::vector<Buffer> &io_data) const;
-    /** Verify, decrypt, then decompress a fetched stream into `out`. */
-    ReadStatus openStream(const StreamInfo &info, Buffer stored,
-                          Buffer &out);
+    /**
+     * Verify, decrypt, then decompress one stream. `stored` is the
+     * stream's bytes inside an IO buffer; they are decrypted in place.
+     * `raw` views the decompressed bytes: the IO buffer itself for
+     * Codec::None, else raw_scratch_, so it is valid only until the
+     * next openStream call.
+     */
+    ReadStatus openStream(const StreamInfo &info,
+                          std::span<uint8_t> stored, ByteSpan &raw);
     ReadStatus decodeFlattened(const StripeInfo &stripe,
                                const std::vector<size_t> &wanted,
                                const std::vector<PlannedIo> &plan,
-                               const std::vector<Buffer> &io_data,
+                               std::vector<Buffer> &io_data,
                                RowBatch &out);
     ReadStatus decodeMapBlob(const StripeInfo &stripe,
                              const std::vector<size_t> &wanted,
                              const std::vector<PlannedIo> &plan,
-                             const std::vector<Buffer> &io_data,
+                             std::vector<Buffer> &io_data,
                              RowBatch &out);
+    /** Decode `count` rows of a map blob, keeping projected features;
+     * false on malformed input. */
+    bool decodeBlobRows(ByteSpan raw, uint32_t count,
+                        std::vector<Row> &rows) const;
 
     /**
      * Strip `out`'s previous contents into the spare-column lists,
@@ -241,6 +255,13 @@ class FileReader
     std::vector<DenseColumn> spare_dense_;
     std::vector<SparseColumn> spare_sparse_;
     std::vector<int64_t> scratch_lengths_;
+
+    /** Decompression target, reused by every stream: as large as the
+     * largest stream this reader has opened. */
+    Buffer raw_scratch_;
+
+    /** ReadOptions::projection as a set, built once; empty = all. */
+    std::unordered_set<FeatureId> projection_;
 
     /** Decoded shared dictionaries, cached per feature for the file. */
     std::map<FeatureId, DecodedListDict> dict_cache_;

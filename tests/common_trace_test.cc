@@ -245,6 +245,44 @@ TEST_F(TraceTest, StallReportPartitionsWallClock)
     EXPECT_NE(table.find("deliver"), std::string::npos);
 }
 
+TEST_F(TraceTest, StallReportSplitsReadByReaderStep)
+{
+    // A stripe read inside an extract span, its steps synthesized as
+    // Complete children; the extract span lasts at least 2 ms, longer
+    // than the steps together. A second read outside any extract span
+    // must not be counted.
+    SpanId extract = beginSpan(spans::kExtractStripe, kNoSpan);
+    SpanId read = beginSpan(spans::kReaderStripe, extract);
+    double t0 = nowSeconds();
+    emitComplete(spans::kReaderChecksum, read, t0, t0 + 1e-4, 0, 0);
+    emitComplete(spans::kReaderDecrypt, read, t0, t0 + 2e-4, 0, 0);
+    emitComplete(spans::kReaderDecompress, read, t0, t0 + 3e-4, 0, 0);
+    emitComplete(spans::kReaderDecode, read, t0, t0 + 4e-4, 0, 0);
+    emitComplete(spans::kReaderDictGather, read, t0, t0 + 5e-4, 0, 0);
+    while (nowSeconds() < t0 + 2e-3) {
+    }
+    endSpan(read, spans::kReaderStripe);
+    endSpan(extract, spans::kExtractStripe);
+    SpanId stray = beginSpan(spans::kReaderStripe, kNoSpan);
+    emitComplete(spans::kReaderDecode, stray, t0, t0 + 5.0, 0, 0);
+    endSpan(stray, spans::kReaderStripe);
+
+    StallReport report =
+        TraceQuery(TraceLog::instance().snapshot()).stallReport();
+    EXPECT_NEAR(report.checksum_s, 1e-4, 1e-9);
+    EXPECT_NEAR(report.decrypt_s, 2e-4, 1e-9);
+    EXPECT_NEAR(report.decompress_s, 3e-4, 1e-9);
+    EXPECT_NEAR(report.decode_s, 4e-4, 1e-9);
+    EXPECT_NEAR(report.dict_gather_s, 5e-4, 1e-9);
+    EXPECT_GE(report.read_s, 2e-3);
+    EXPECT_NEAR(report.readStepsS() + report.readOtherS(), report.read_s,
+                1e-12);
+    EXPECT_GT(report.readOtherS(), 0.0);
+    std::string table = report.render();
+    EXPECT_NE(table.find("decompress"), std::string::npos);
+    EXPECT_NE(table.find("dict_gather"), std::string::npos);
+}
+
 TEST_F(TraceTest, EnvEnabledParsesDsiTrace)
 {
     ::setenv("DSI_TRACE", "1", 1);

@@ -333,6 +333,57 @@ TEST_F(DppTraceTest, StallReportPartitionsLiveSession)
     EXPECT_NE(table.find("deliver"), std::string::npos);
 }
 
+TEST_F(DppTraceTest, ReaderStepsNestUnderEveryStripeRead)
+{
+    // Encrypted, Lz-compressed, dictionary-encoded files, so every
+    // reader step runs; one injected corrupt block read forces a
+    // checksum mismatch and a stripe retry on the way.
+    dwrf::WriterOptions wo = stripeOptions();
+    wo.codec = dwrf::Codec::Lz;
+    wo.encrypt = true;
+    wo.dedup = true;
+    testing::MiniWarehouse mw =
+        testing::makeMiniWarehouse(traceParams(), 2, 4096, 2048, wo);
+    InProcessSession session(*mw.warehouse, traceSpec(mw),
+                             tracedOptions(1, 1));
+    // Armed after construction: hit 3 is the first stripe IO (tail
+    // and footer reads are hits 1-2).
+    ScopedFault corrupt(faults::kTectonicReadCorrupt,
+                        FaultSpec{.trigger_hit = 3});
+    auto result = session.run();
+    EXPECT_EQ(result.rows_delivered, kTotalRows);
+
+    trace::TraceQuery q(session.traceEvents());
+    EXPECT_FALSE(q.instantsNamed(trace::events::kReaderRetry).empty());
+    auto reads = q.byName(trace::spans::kReaderStripe);
+    ASSERT_FALSE(reads.empty());
+    const char *steps[] = {
+        trace::spans::kReaderChecksum, trace::spans::kReaderDecrypt,
+        trace::spans::kReaderDecompress, trace::spans::kReaderDecode,
+        trace::spans::kReaderDictGather};
+    for (const auto *read : reads) {
+        ASSERT_TRUE(read->closed);
+        std::map<std::string, size_t> seen;
+        double child_s = 0.0;
+        for (const auto *child : read->children) {
+            ++seen[child->name];
+            child_s += child->duration();
+        }
+        for (const char *step : steps)
+            EXPECT_GT(seen[step], 0u) << step << " missing under a read";
+        // The steps run one after another inside the read.
+        EXPECT_LE(child_s, read->duration() + 1e-9);
+    }
+
+    trace::StallReport report = q.stallReport();
+    EXPECT_GT(report.checksum_s, 0.0);
+    EXPECT_GT(report.decrypt_s, 0.0);
+    EXPECT_GT(report.decompress_s, 0.0);
+    EXPECT_GT(report.decode_s, 0.0);
+    EXPECT_GT(report.dict_gather_s, 0.0);
+    EXPECT_LE(report.readStepsS(), report.read_s + 1e-9);
+}
+
 TEST_F(DppTraceTest, LiveTraceExportsToChromeJson)
 {
     InProcessSession session(*mw_.warehouse, traceSpec(mw_),

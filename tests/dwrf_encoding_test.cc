@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "common/rng.h"
 #include "dwrf/cipher.h"
 #include "dwrf/compress.h"
@@ -78,7 +81,7 @@ TEST(Rle, ZeroRunsCompressWell)
     rleEncode(lengths, out);
     EXPECT_LT(out.size(), 100u);
     std::vector<int64_t> back;
-    ASSERT_TRUE(rleDecode(out, back));
+    ASSERT_TRUE(rleDecode(out, back, 1u << 20));
     EXPECT_EQ(back, lengths);
 }
 
@@ -91,7 +94,7 @@ TEST(Rle, ArithmeticRunsDetected)
     rleEncode(v, out);
     EXPECT_LT(out.size(), 16u);
     std::vector<int64_t> back;
-    ASSERT_TRUE(rleDecode(out, back));
+    ASSERT_TRUE(rleDecode(out, back, 1u << 20));
     EXPECT_EQ(back, v);
 }
 
@@ -104,7 +107,7 @@ TEST(Rle, RandomValuesRoundTrip)
     Buffer out;
     rleEncode(v, out);
     std::vector<int64_t> back;
-    ASSERT_TRUE(rleDecode(out, back));
+    ASSERT_TRUE(rleDecode(out, back, 1u << 20));
     EXPECT_EQ(back, v);
 }
 
@@ -113,7 +116,7 @@ TEST(Rle, EmptyInput)
     Buffer out;
     rleEncode({}, out);
     std::vector<int64_t> back;
-    ASSERT_TRUE(rleDecode(out, back));
+    ASSERT_TRUE(rleDecode(out, back, 1u << 20));
     EXPECT_TRUE(back.empty());
 }
 
@@ -329,8 +332,8 @@ TEST(BulkDifferential, RleMatchesScalarOnRunBoundaries)
         Buffer enc;
         rleEncode(vals, enc);
         std::vector<int64_t> scalar, bulk;
-        ASSERT_TRUE(rleDecodeScalar(enc, scalar));
-        ASSERT_TRUE(rleDecode(enc, bulk));
+        ASSERT_TRUE(rleDecodeScalar(enc, scalar, vals.size()));
+        ASSERT_TRUE(rleDecode(enc, bulk, vals.size()));
         EXPECT_EQ(scalar, vals);
         EXPECT_EQ(bulk, vals);
     }
@@ -351,8 +354,8 @@ TEST(BulkDifferential, RleMatchesScalarOnCorruptStreams)
     for (size_t cut = 0; cut < enc.size(); cut += 3) {
         Buffer prefix(enc.begin(), enc.begin() + cut);
         std::vector<int64_t> scalar, bulk;
-        bool sok = rleDecodeScalar(prefix, scalar);
-        bool bok = rleDecode(prefix, bulk);
+        bool sok = rleDecodeScalar(prefix, scalar, vals.size());
+        bool bok = rleDecode(prefix, bulk, vals.size());
         ASSERT_EQ(sok, bok) << "cut=" << cut;
         if (sok) {
             EXPECT_EQ(scalar, bulk) << "cut=" << cut;
@@ -362,8 +365,8 @@ TEST(BulkDifferential, RleMatchesScalarOnCorruptStreams)
         Buffer bad = enc;
         bad[flip] ^= 0x41;
         std::vector<int64_t> scalar, bulk;
-        bool sok = rleDecodeScalar(bad, scalar);
-        bool bok = rleDecode(bad, bulk);
+        bool sok = rleDecodeScalar(bad, scalar, vals.size());
+        bool bok = rleDecode(bad, bulk, vals.size());
         ASSERT_EQ(sok, bok) << "flip=" << flip;
         if (sok) {
             EXPECT_EQ(scalar, bulk) << "flip=" << flip;
@@ -471,8 +474,8 @@ TEST(BulkDifferential, EncodeBulkDecodeRoundTripProperty)
         Buffer renc;
         rleEncode(vals, renc);
         std::vector<int64_t> rbulk, rscalar;
-        ASSERT_TRUE(rleDecode(renc, rbulk));
-        ASSERT_TRUE(rleDecodeScalar(renc, rscalar));
+        ASSERT_TRUE(rleDecode(renc, rbulk, vals.size()));
+        ASSERT_TRUE(rleDecodeScalar(renc, rscalar, vals.size()));
         EXPECT_EQ(rbulk, vals);
         EXPECT_EQ(rscalar, vals);
     }
@@ -482,11 +485,23 @@ class CodecParamTest : public ::testing::TestWithParam<Codec>
 {
 };
 
+/** decompress() of a block whose raw length is `raw_length`, copied
+ * out of the codec's view. */
+std::optional<Buffer>
+decompressCopy(Codec codec, ByteSpan in, uint64_t raw_length)
+{
+    Buffer scratch;
+    auto raw = decompress(codec, in, raw_length, scratch);
+    if (!raw.has_value())
+        return std::nullopt;
+    return Buffer(raw->begin(), raw->end());
+}
+
 TEST_P(CodecParamTest, EmptyRoundTrip)
 {
     Buffer out;
     compress(GetParam(), {}, out);
-    auto back = decompress(GetParam(), out);
+    auto back = decompressCopy(GetParam(), out, 0);
     ASSERT_TRUE(back.has_value());
     EXPECT_TRUE(back->empty());
 }
@@ -500,7 +515,7 @@ TEST_P(CodecParamTest, RandomBytesRoundTrip)
             b = static_cast<uint8_t>(rng.next());
         Buffer out;
         compress(GetParam(), in, out);
-        auto back = decompress(GetParam(), out);
+        auto back = decompressCopy(GetParam(), out, in.size());
         ASSERT_TRUE(back.has_value()) << "len=" << len;
         EXPECT_EQ(*back, in) << "len=" << len;
     }
@@ -515,7 +530,7 @@ TEST_P(CodecParamTest, RepetitiveBytesRoundTrip)
     }
     Buffer out;
     compress(GetParam(), in, out);
-    auto back = decompress(GetParam(), out);
+    auto back = decompressCopy(GetParam(), out, in.size());
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, in);
 }
@@ -542,7 +557,7 @@ TEST(Lz, OverlappingMatchesDecodeCorrectly)
     Buffer out;
     compress(Codec::Lz, in, out);
     EXPECT_LT(out.size(), 64u);
-    auto back = decompress(Codec::Lz, out);
+    auto back = decompressCopy(Codec::Lz, out, in.size());
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, in);
 }
@@ -550,8 +565,59 @@ TEST(Lz, OverlappingMatchesDecodeCorrectly)
 TEST(Lz, MalformedInputRejected)
 {
     Buffer junk{0xff, 0xff, 0xff, 0xff, 0x01, 0x02};
-    auto out = decompress(Codec::Lz, junk);
-    EXPECT_FALSE(out.has_value());
+    // Header disagrees with the expected length: rejected up front.
+    EXPECT_FALSE(decompressCopy(Codec::Lz, junk, 16).has_value());
+    // Header agrees but the tokens are garbage.
+    Buffer tokens{0x10, 0x05, 0x01, 0x02};
+    EXPECT_FALSE(decompressCopy(Codec::Lz, tokens, 16).has_value());
+}
+
+TEST(Lz, ScratchIsReusedAcrossBlocks)
+{
+    // One scratch buffer serves a large block and then a small one;
+    // each view holds exactly its block's bytes.
+    Rng rng(404);
+    Buffer big(20000), small(300);
+    for (auto &b : big)
+        b = static_cast<uint8_t>(rng.nextUint(4));
+    for (auto &b : small)
+        b = static_cast<uint8_t>(rng.nextUint(4));
+    Buffer big_enc, small_enc, scratch;
+    compress(Codec::Lz, big, big_enc);
+    compress(Codec::Lz, small, small_enc);
+    auto a = decompress(Codec::Lz, big_enc, big.size(), scratch);
+    ASSERT_TRUE(a.has_value());
+    EXPECT_TRUE(std::equal(a->begin(), a->end(), big.begin(), big.end()));
+    size_t grown = scratch.size();
+    auto b = decompress(Codec::Lz, small_enc, small.size(), scratch);
+    ASSERT_TRUE(b.has_value());
+    EXPECT_TRUE(
+        std::equal(b->begin(), b->end(), small.begin(), small.end()));
+    EXPECT_EQ(scratch.size(), grown);
+}
+
+TEST(Cipher, WordKeystreamMatchesByteReference)
+{
+    // The keystream is applied a 64-bit word at a time; the bytes it
+    // produces must be those of the byte-at-a-time definition, or
+    // every encrypted file already written would stop decoding.
+    Rng rng(2024);
+    StreamCipher c(0xfeed);
+    for (size_t len = 0; len < 80; ++len) {
+        Buffer data(len);
+        for (auto &b : data)
+            b = static_cast<uint8_t>(rng.next());
+        Buffer expect = data;
+        Rng keystream(c.key() ^ (len * 0x9e3779b97f4a7c15ULL));
+        uint64_t ks = 0;
+        for (size_t i = 0; i < len; ++i) {
+            if (i % 8 == 0)
+                ks = keystream.next();
+            expect[i] ^= static_cast<uint8_t>(ks >> (8 * (i % 8)));
+        }
+        c.apply(len, data);
+        EXPECT_EQ(data, expect) << "len=" << len;
+    }
 }
 
 TEST(Cipher, ApplyTwiceRestores)
