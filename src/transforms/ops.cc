@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -159,16 +160,6 @@ TransformStats::classShare(OpClass cls) const
         return 0.0;
     return static_cast<double>(class_values[static_cast<int>(cls)]) /
            static_cast<double>(total);
-}
-
-uint64_t
-sigridHash64(uint64_t value, uint64_t salt)
-{
-    uint64_t z = value + salt * 0x9e3779b97f4a7c15ULL +
-                 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 namespace {
@@ -406,42 +397,78 @@ class ListMapOp : public TransformBase
     }
 };
 
+/**
+ * SigridHash and PositiveModulus check once whether their modulus `m`
+ * is a power of two. If it is, they mask: in two's complement `v & (m -
+ * 1)` is the Euclidean `v mod m` of every uint64 and int64, so the
+ * 64-bit divide is skipped. Any other modulus keeps the `%` loop.
+ */
 class SigridHashOp : public ListMapOp<SigridHashOp>
 {
   public:
-    using ListMapOp::ListMapOp;
+    explicit SigridHashOp(TransformSpec spec)
+        : ListMapOp(std::move(spec)),
+          max_value_(spec_.u1 > 0 ? spec_.u1 : (1ULL << 31)),
+          masked_(std::has_single_bit(max_value_))
+    {
+    }
 
     void
     fill(const int64_t *values, const float *, uint32_t n,
          dwrf::SparseColumn &out) const
     {
-        uint64_t max_value = spec_.u1 > 0 ? spec_.u1 : (1ULL << 31);
+        const uint64_t salt = sigridSalt(spec_.u0);
         int64_t *dst = out.values.data();
+        if (masked_) {
+            const uint64_t mask = max_value_ - 1;
+            for (uint32_t i = 0; i < n; ++i)
+                dst[i] = static_cast<int64_t>(
+                    sigridMix(static_cast<uint64_t>(values[i]) + salt) &
+                    mask);
+            return;
+        }
         for (uint32_t i = 0; i < n; ++i) {
-            uint64_t h = sigridHash64(
-                static_cast<uint64_t>(values[i]), spec_.u0);
-            dst[i] = static_cast<int64_t>(h % max_value);
+            uint64_t h =
+                sigridMix(static_cast<uint64_t>(values[i]) + salt);
+            dst[i] = static_cast<int64_t>(h % max_value_);
         }
     }
+
+  private:
+    uint64_t max_value_;
+    bool masked_;
 };
 
 class PositiveModulusOp : public ListMapOp<PositiveModulusOp>
 {
   public:
-    using ListMapOp::ListMapOp;
+    explicit PositiveModulusOp(TransformSpec spec)
+        : ListMapOp(std::move(spec)),
+          m_(spec_.u0 > 0 ? static_cast<int64_t>(spec_.u0) : 1000000),
+          masked_(std::has_single_bit(static_cast<uint64_t>(m_)))
+    {
+    }
 
     void
     fill(const int64_t *values, const float *, uint32_t n,
          dwrf::SparseColumn &out) const
     {
-        int64_t m = spec_.u0 > 0 ? static_cast<int64_t>(spec_.u0)
-                                 : 1000000;
         int64_t *dst = out.values.data();
+        if (masked_) {
+            const int64_t mask = m_ - 1;
+            for (uint32_t i = 0; i < n; ++i)
+                dst[i] = values[i] & mask;
+            return;
+        }
         for (uint32_t i = 0; i < n; ++i) {
-            int64_t v = values[i] % m;
-            dst[i] = v < 0 ? v + m : v;
+            int64_t v = values[i] % m_;
+            dst[i] = v < 0 ? v + m_ : v;
         }
     }
+
+  private:
+    int64_t m_; ///< in [1, INT64_MAX]: compileTransform checks u0
+    bool masked_;
 };
 
 class MapIdOp : public ListMapOp<MapIdOp>
@@ -550,6 +577,8 @@ class NGramOp : public TransformBase
             return;
         uint32_t gram = spec_.u0 >= 2 ? static_cast<uint32_t>(spec_.u0)
                                       : 2;
+        // Every window's first hash takes the op's salt.
+        const uint64_t salt0 = sigridSalt(spec_.u1);
         emitSparse(
             batch, stats, listValues(*in, batch.rows),
             [&](uint32_t r) {
@@ -562,8 +591,9 @@ class NGramOp : public TransformBase
                         in->values.data() + in->offsets[r];
                     for (uint32_t o = out.offsets[r], i = 0;
                          o < out.offsets[r + 1]; ++o, ++i) {
-                        uint64_t h = spec_.u1; // salt
-                        for (uint32_t k = 0; k < gram; ++k)
+                        uint64_t h = sigridMix(
+                            static_cast<uint64_t>(values[i]) + salt0);
+                        for (uint32_t k = 1; k < gram; ++k)
                             h = sigridHash64(
                                 static_cast<uint64_t>(values[i + k]), h);
                         // keep positive
@@ -598,19 +628,30 @@ class CartesianOp : public TransformBase
                              b->length(r)));
             },
             [&](dwrf::SparseColumn &out) {
-                // Row-major over (a, b) pairs, cut at `cap`.
+                // Row-major over (a, b) pairs, cut at `cap`. A pair
+                // hashes to sigridHash64(a[i], b[j] ^ u1), and the
+                // salt term of b[j] is computed once per row.
+                uint32_t max_b = 0;
+                for (uint32_t r = 0; r < batch.rows; ++r)
+                    max_b = std::max(max_b, b->length(r));
+                std::vector<uint64_t> salts(
+                    std::min<uint64_t>(max_b, cap));
                 for (uint32_t r = 0; r < batch.rows; ++r) {
                     const int64_t *av = a->values.data() + a->offsets[r];
                     const int64_t *bv = b->values.data() + b->offsets[r];
-                    uint32_t blen = b->length(r);
                     uint32_t o = out.offsets[r], end = out.offsets[r + 1];
+                    uint32_t blen = std::min(b->length(r), end - o);
+                    for (uint32_t j = 0; j < blen; ++j)
+                        salts[j] = sigridSalt(
+                            static_cast<uint64_t>(bv[j]) ^ spec_.u1);
                     for (uint32_t i = 0; o < end; ++i) {
-                        for (uint32_t j = 0; j < blen && o < end; ++j) {
-                            uint64_t h = sigridHash64(
-                                static_cast<uint64_t>(av[i]),
-                                static_cast<uint64_t>(bv[j]) ^ spec_.u1);
-                            out.values[o++] = static_cast<int64_t>(h >> 1);
-                        }
+                        uint64_t ai = static_cast<uint64_t>(av[i]);
+                        uint32_t take = std::min(blen, end - o);
+                        int64_t *dst = out.values.data() + o;
+                        for (uint32_t j = 0; j < take; ++j)
+                            dst[j] = static_cast<int64_t>(
+                                sigridMix(ai + salts[j]) >> 1);
+                        o += take;
                     }
                 }
             });
@@ -621,7 +662,9 @@ class CartesianOp : public TransformBase
  * Open-addressing id set for IdListTransform, built once per apply()
  * call for the longest `b` list and reused row after row. A per-row
  * generation stamp empties it in O(1), and each row probes only the
- * power-of-two prefix its own list needs (load factor <= 1/2).
+ * power-of-two prefix its own list needs. At 8 slots per id (load <=
+ * 1/8) an id that is not in `b`, the common case, almost always stops
+ * at its first slot.
  */
 class RowIdSet
 {
@@ -667,11 +710,20 @@ class RowIdSet
         uint32_t taken = 0;  ///< == gen_: `key` was emitted this row
     };
 
+    /**
+     * 8 slots per id up to kMaxSparseSlots (4,096 ids); a longer list
+     * gets 2 slots per id (load <= 1/2), so a huge list does not cost
+     * 16 table bytes per list byte.
+     */
     static size_t
     capacityFor(uint32_t len)
     {
-        return std::bit_ceil(std::max<size_t>(8, 2 * size_t{len}));
+        size_t sparse = std::min(8 * size_t{len}, kMaxSparseSlots);
+        return std::bit_ceil(
+            std::max({size_t{8}, sparse, 2 * size_t{len}}));
     }
+
+    static constexpr size_t kMaxSparseSlots = size_t{1} << 15;
 
     /** The slot holding `id`, or the empty slot where it would go. */
     Slot &
@@ -843,6 +895,9 @@ compileTransform(const TransformSpec &spec)
         return std::make_unique<EnumerateOp>(spec);
       case OpKind::PositiveModulus:
         requireInputs(spec, 1);
+        dsi_assert(spec.u0 <= uint64_t{INT64_MAX},
+                   "PositiveModulus modulus %llu exceeds INT64_MAX",
+                   static_cast<unsigned long long>(spec.u0));
         return std::make_unique<PositiveModulusOp>(spec);
       case OpKind::IdListTransform:
         requireInputs(spec, 2);

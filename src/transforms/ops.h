@@ -114,12 +114,33 @@ class Transform
 };
 
 /**
- * Compile one spec. Dies on malformed specs (wrong input arity).
+ * Compile one spec. Dies on malformed specs: wrong input arity, or a
+ * PositiveModulus modulus above INT64_MAX.
  */
 std::unique_ptr<Transform> compileTransform(const TransformSpec &spec);
 
+/** What `salt` adds to the value in sigridHash64. */
+inline uint64_t
+sigridSalt(uint64_t salt)
+{
+    return salt * 0x9e3779b97f4a7c15ULL + 0x9e3779b97f4a7c15ULL;
+}
+
+/** sigridHash64's finalizer over value + sigridSalt(salt). */
+inline uint64_t
+sigridMix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** Deterministic 64-bit hash used by SigridHash / NGram / Cartesian. */
-uint64_t sigridHash64(uint64_t value, uint64_t salt);
+inline uint64_t
+sigridHash64(uint64_t value, uint64_t salt)
+{
+    return sigridMix(value + sigridSalt(salt));
+}
 
 } // namespace dsi::transforms
 

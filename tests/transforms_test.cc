@@ -299,6 +299,19 @@ TEST(Ops, WrongArityDies)
     EXPECT_DEATH(compileTransform(s), "expects 2 inputs");
 }
 
+TEST(Ops, PositiveModulusAboveInt64MaxDies)
+{
+    // A modulus of 2^63 or more has no int64 form: `v + m` would
+    // overflow for a negative id.
+    auto s = spec(OpKind::PositiveModulus, {10}, 100);
+    s.u0 = uint64_t{1} << 63;
+    EXPECT_DEATH(compileTransform(s), "exceeds INT64_MAX");
+    s.u0 = ~uint64_t{0};
+    EXPECT_DEATH(compileTransform(s), "exceeds INT64_MAX");
+    s.u0 = uint64_t{INT64_MAX};
+    EXPECT_NE(compileTransform(s), nullptr);
+}
+
 TEST(Ops, ClassesMatchPaperCatalog)
 {
     EXPECT_EQ(opClassOf(OpKind::Bucketize),
@@ -856,6 +869,32 @@ adversarialLists()
         }
         out.push_back({"random", {a, b}});
     }
+    {
+        // `b` lists of 4,096 distinct ids (the id table's largest
+        // 8-slots-per-id size) and of 40,000 (2 slots per id), between
+        // short rows that probe a prefix of the same table. `a` holds
+        // members, repeats and ids that are not in `b`.
+        Lists a(5), b(5);
+        a[0] = {3, 1, 3};
+        b[0] = {1, 2, 3};
+        for (int64_t i = 0; i < 4096; ++i)
+            b[1].push_back(i * 2654435761 - 3000000000LL);
+        for (int64_t i = 0; i < 600; ++i)
+            a[1].push_back(b[1][(i * 37) % 4096] + (i % 3 == 0 ? 1 : 0));
+        a[2] = {7, 7};
+        b[2] = {7};
+        for (int64_t i = 0; i < 40000; ++i)
+            b[3].push_back((i * 7919) ^ (i << 40));
+        for (int64_t i = 0; i < 900; ++i)
+            a[3].push_back(b[3][(i * 101) % 40000] - (i % 4 == 0));
+        a[4] = {lo, hi};
+        b[4] = {hi};
+        out.push_back({"long_b", {a, b}});
+    }
+    {
+        Lists same = {{4, 4, 9, 4, 9, 1}, {lo, lo, hi, lo}, {}, {2}};
+        out.push_back({"a_equals_b", {same, same}});
+    }
     return out;
 }
 
@@ -879,6 +918,7 @@ rewrittenOpSpecs()
                        ~uint64_t{0}}) {
         add(OpKind::SigridHash, {kA}, 0x1234abcd, m);
     }
+    add(OpKind::SigridHash, {kA}, 0x1234abcd, uint64_t{1} << 63);
     for (uint64_t m : {uint64_t{1} << 20, uint64_t{1}, uint64_t{0},
                        uint64_t{1000}, uint64_t{7}, uint64_t{1} << 62}) {
         add(OpKind::PositiveModulus, {kA}, m, 0);
@@ -984,6 +1024,78 @@ TEST(OpsDifferential, FlatKernelsMatchReferenceOnModelGraphRows)
         compileTransform(s)->apply(got, got_st);
         oracle::compile(s)->apply(want, want_st);
         expectSameOutput(got, got_st, want, want_st);
+    }
+}
+
+TEST(OpsDifferential, ModelGraphSinksMatchReferenceOpsInOrder)
+{
+    // The 16-derived-feature graph over a narrow schema with every
+    // feature projected: the compiled graph (flat kernels, dead
+    // intermediates dropped) against the reference list ops, and
+    // compileTransform for the rest, applied one by one in order.
+    warehouse::SchemaParams p;
+    p.float_features = 16;
+    p.sparse_features = 8;
+    p.avg_length = 20.0;
+    p.seed = 0x4e41;
+    auto schema = warehouse::makeSchema(p);
+    std::vector<FeatureId> projection;
+    for (const auto &f : schema.features)
+        projection.push_back(f.id);
+    ModelGraphParams gp;
+    gp.derived_features = 16;
+    TransformGraph graph = makeModelGraph(schema, projection, gp);
+
+    warehouse::RowGenerator gen(schema, 5);
+    auto got = dwrf::batchFromRows(gen.batch(512));
+    auto want = got;
+    CompiledGraph(graph).apply(got, 0);
+    for (const TransformSpec &s : graph.specs()) {
+        auto op = oracle::compile(s);
+        if (!op)
+            op = compileTransform(s);
+        TransformStats stats;
+        op->apply(want, stats);
+    }
+
+    // A sink is an output no later op reads; each must be delivered.
+    std::unordered_set<FeatureId> read_later;
+    size_t sinks = 0;
+    for (auto it = graph.specs().rbegin(); it != graph.specs().rend();
+         ++it) {
+        if (!read_later.count(it->output)) {
+            ++sinks;
+            EXPECT_TRUE(got.findSparse(it->output) ||
+                        got.findDense(it->output))
+                << "sink " << it->output;
+        }
+        read_later.insert(it->inputs.begin(), it->inputs.end());
+    }
+    EXPECT_GE(sinks, 16u);
+    for (const auto &g : got.sparse) {
+        SCOPED_TRACE("sparse " + std::to_string(g.id));
+        const dwrf::SparseColumn *w = want.findSparse(g.id);
+        ASSERT_NE(w, nullptr);
+        EXPECT_EQ(g.offsets, w->offsets);
+        EXPECT_EQ(g.values, w->values);
+        ASSERT_EQ(g.scores.size(), w->scores.size());
+        if (!g.scores.empty()) {
+            EXPECT_EQ(std::memcmp(g.scores.data(), w->scores.data(),
+                                  g.scores.size() * sizeof(float)),
+                      0);
+        }
+    }
+    for (const auto &g : got.dense) {
+        SCOPED_TRACE("dense " + std::to_string(g.id));
+        const dwrf::DenseColumn *w = want.findDense(g.id);
+        ASSERT_NE(w, nullptr);
+        EXPECT_EQ(g.present, w->present);
+        ASSERT_EQ(g.values.size(), w->values.size());
+        if (!g.values.empty()) {
+            EXPECT_EQ(std::memcmp(g.values.data(), w->values.data(),
+                                  g.values.size() * sizeof(float)),
+                      0);
+        }
     }
 }
 
