@@ -11,8 +11,8 @@
  *    dictionary corpus — the paper's categorical-id shape), and the
  *    stream CRC32-C, portable kernel vs the dispatched one;
  *  - dpp suite: per-op transform throughput over a realistic
- *    mini-batch (Table XI), end-to-end batches/sec/core through a
- *    live InProcessSession, and p50/p99 Client::next latency.
+ *    mini-batch (Table XI). End-to-end session throughput and batch
+ *    latency are e2ebench's (`rows_per_s`, `batch_gap_p99_ms`).
  *
  * Every corpus derives from pinned seeds; trials are split into
  * discarded warmups and measured runs (median reported). `--quick`
@@ -33,12 +33,9 @@
 
 #include "common/bench_report.h"
 #include "common/rng.h"
-#include "common/stats.h"
-#include "dpp/session.h"
 #include "dwrf/checksum.h"
 #include "dwrf/checksum_internal.h"
 #include "dwrf/encoding.h"
-#include "test_fixtures_bench.h"
 #include "transforms/graph.h"
 #include "warehouse/datagen.h"
 
@@ -56,8 +53,6 @@ struct SuiteConfig
     uint32_t measure_trials = 5;
     size_t decode_values = 1u << 20;  ///< values per decode corpus
     uint32_t transform_reps = 20;     ///< op applies per trial
-    uint32_t session_partitions = 2;
-    uint64_t session_rows = 8192;
 };
 
 SuiteConfig
@@ -70,8 +65,6 @@ makeConfig(bool quick)
         cfg.measure_trials = 2;
         cfg.decode_values = 1u << 16;
         cfg.transform_reps = 3;
-        cfg.session_partitions = 1;
-        cfg.session_rows = 2048;
     }
     return cfg;
 }
@@ -308,8 +301,7 @@ runDecodeSuite(const SuiteConfig &cfg)
 }
 
 // ---------------------------------------------------------------------
-// DPP suite: per-op transform throughput, live session, client
-// latency.
+// DPP suite: per-op transform throughput.
 
 /** A realistic 512-row batch (dense ids 1..8, sparse 9..16). */
 dwrf::RowBatch
@@ -387,37 +379,6 @@ lowerName(transforms::OpKind kind)
     return name;
 }
 
-warehouse::SchemaParams
-sessionParams()
-{
-    warehouse::SchemaParams p;
-    p.name = "perfdpp";
-    p.float_features = 16;
-    p.sparse_features = 8;
-    p.avg_length = 6;
-    p.coverage_u = 0.5;
-    p.seed = static_cast<uint32_t>(kSeed) ^ 0x5e55;
-    return p;
-}
-
-dpp::SessionSpec
-makeSessionSpec(const benchfix::MiniWarehouse &mw, uint32_t partitions)
-{
-    dpp::SessionSpec spec;
-    spec.table = mw.name;
-    for (uint32_t p = 0; p < partitions; ++p)
-        spec.partitions.push_back(p);
-    spec.projection = warehouse::chooseProjection(
-        mw.schema, mw.popularity, 8, 4, 7);
-    transforms::ModelGraphParams gp;
-    gp.derived_features = 2;
-    spec.setTransforms(
-        transforms::makeModelGraph(mw.schema, spec.projection, gp));
-    spec.batch_size = 256;
-    spec.rows_per_split = 1024;
-    return spec;
-}
-
 bench::BenchReport
 runDppSuite(const SuiteConfig &cfg)
 {
@@ -464,68 +425,6 @@ runDppSuite(const SuiteConfig &cfg)
              "rows/s", rows / seconds});
     }
 
-    // --- live InProcessSession: batches/sec/core (synchronous mode
-    //     drives everything on this one core) ---
-    {
-        auto mw = benchfix::makeMiniWarehouse(
-            sessionParams(), cfg.session_partitions, cfg.session_rows,
-            2048);
-        double batches_per_sec = 0;
-        double rows_per_sec = 0;
-        double seconds = bestTrialSeconds(cfg, [&] {
-            dpp::SessionOptions so;
-            so.workers = 2;
-            dpp::InProcessSession session(
-                *mw.warehouse,
-                makeSessionSpec(mw, cfg.session_partitions), so);
-            double t0 = steadySeconds();
-            auto result = session.run();
-            double dt = steadySeconds() - t0;
-            batches_per_sec =
-                static_cast<double>(result.tensors_delivered) / dt;
-            rows_per_sec =
-                static_cast<double>(result.rows_delivered) / dt;
-        });
-        (void)seconds;
-        report.metrics.push_back({"dpp.session_batches_per_sec_per_core",
-                                  "batches/s", batches_per_sec});
-        report.metrics.push_back(
-            {"dpp.session_rows_per_sec", "rows/s", rows_per_sec});
-    }
-
-    // --- Client::next latency (the in-process trainer hook: pop +
-    //     ledger claim + heartbeat) ---
-    {
-        auto mw = benchfix::makeMiniWarehouse(
-            sessionParams(), cfg.session_partitions, cfg.session_rows,
-            2048);
-        PercentileSampler latency_us;
-        for (uint32_t trial = 0;
-             trial < cfg.warmup_trials + cfg.measure_trials; ++trial) {
-            bool measured = trial >= cfg.warmup_trials;
-            dpp::Master master(
-                *mw.warehouse,
-                makeSessionSpec(mw, cfg.session_partitions));
-            dpp::Worker worker(master, *mw.warehouse);
-            dpp::DeliveryLedger ledger;
-            dpp::Client client(0, 1, {&worker}, {}, &ledger);
-            bool more = true;
-            while (more || worker.buffered() > 0) {
-                more = more && worker.pump();
-                while (worker.buffered() > 0) {
-                    double t0 = steadySeconds();
-                    auto tensor = client.next();
-                    double dt = steadySeconds() - t0;
-                    if (tensor.has_value() && measured)
-                        latency_us.add(dt * 1e6);
-                }
-            }
-        }
-        report.metrics.push_back({"dpp.client_next_p50_us", "us",
-                                  latency_us.percentile(50.0)});
-        report.metrics.push_back({"dpp.client_next_p99_us", "us",
-                                  latency_us.percentile(99.0)});
-    }
     return report;
 }
 

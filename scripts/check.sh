@@ -11,6 +11,7 @@
 #
 # Optionally set DSI_CHECK_TSAN=1 to add a ThreadSanitizer pass over
 # the concurrency-sensitive suites (slower; chaos + parallel + MPMC).
+# The last line printed is the .cc/.h line count under src/.
 
 set -euo pipefail
 
@@ -71,3 +72,7 @@ trap 'rm -rf "${bench_out}"' EXIT
 python3 e2ebench/run.py --smoke
 
 echo "==> all passes green"
+
+# The size figure ROADMAP tracks: .cc/.h lines under src/.
+echo "==> src/ .cc/.h lines: $(find src \( -name '*.cc' -o -name '*.h' \) \
+    -exec cat {} + | wc -l)"

@@ -1,5 +1,7 @@
 #include "master.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "dwrf/reader.h"
 
@@ -103,6 +105,7 @@ Master::Master(const warehouse::Warehouse &warehouse, SessionSpec spec)
     : spec_(std::move(spec))
 {
     enumerateSplits(warehouse);
+    records_.resize(splits_.size());
     for (uint64_t i = 0; i < splits_.size(); ++i)
         pending_.push_back(i);
 }
@@ -155,7 +158,6 @@ Master::registerWorker()
 {
     std::scoped_lock lock(mutex_);
     WorkerId id = next_worker_++;
-    live_workers_.insert(id);
     metrics_.inc("master.workers_registered");
     return id;
 }
@@ -165,7 +167,7 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
 {
     std::scoped_lock lock(mutex_);
     SplitGrant grant;
-    if (!live_workers_.count(worker)) {
+    if (failed_workers_.count(worker)) {
         // A zombie (lease-expired or manually failed) asking for more
         // work: its old splits are already requeued, so feeding it
         // would double-process rows. Starve it instead.
@@ -187,8 +189,8 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     bool shed = load.buffer_full;
     if (!shed && admission_.max_inflight_per_worker > 0) {
         uint32_t held = 0;
-        for (const auto &[split_id, w] : inflight_)
-            held += w == worker;
+        for (const auto &[split_id, g] : inflight_)
+            held += g.worker == worker;
         shed = held >= admission_.max_inflight_per_worker;
     }
     if (shed) {
@@ -200,9 +202,10 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     }
     uint64_t split_id = pending_.front();
     pending_.pop_front();
-    inflight_.emplace(split_id, worker);
+    Grant &entry = inflight_[split_id];
+    entry.worker = worker;
     if (admission_.split_deadline_s > 0.0) {
-        deadline_at_[split_id] =
+        entry.deadline_at =
             trace::nowSeconds() + admission_.split_deadline_s;
         grant.deadline = Deadline::after(admission_.split_deadline_s);
     }
@@ -213,10 +216,9 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     // the contiguous prefix of stripes trainers already received, so
     // a replacement worker (or a recovered control plane) re-reads
     // only the undelivered tail.
-    auto wm = resume_watermark_.find(split_id);
-    if (wm != resume_watermark_.end() && wm->second > 0) {
+    if (uint32_t watermark = records_[split_id].watermark) {
         grant.split->resume_stripe =
-            std::min(wm->second, grant.split->stripe_count);
+            std::min(watermark, grant.split->stripe_count);
         metrics_.inc("master.splits_resumed");
     }
     if (trace::on()) {
@@ -231,19 +233,9 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
         grant.trace = trace::beginSpan(trace::spans::kMasterGrant,
                                        trace::currentParent(),
                                        split_id, worker);
-        grant_spans_[split_id] = grant.trace;
+        entry.span = grant.trace;
     }
     return grant;
-}
-
-void
-Master::endGrantSpanLocked(uint64_t split_id)
-{
-    auto it = grant_spans_.find(split_id);
-    if (it == grant_spans_.end())
-        return;
-    trace::endSpan(it->second, trace::spans::kMasterGrant);
-    grant_spans_.erase(it);
 }
 
 bool
@@ -251,16 +243,15 @@ Master::takeGrantLocked(WorkerId worker, uint64_t split_id,
                         const char *stale_metric)
 {
     auto it = inflight_.find(split_id);
-    if (it == inflight_.end() || it->second != worker) {
+    if (it == inflight_.end() || it->second.worker != worker) {
         // Stale: the split was requeued (its holder was failed or blew
         // its deadline) or finished by its new owner. The delivery
         // ledger deduplicates any rows the zombie already delivered.
         metrics_.inc(stale_metric);
         return false;
     }
+    trace::endSpan(it->second.span, trace::spans::kMasterGrant);
     inflight_.erase(it);
-    deadline_at_.erase(split_id);
-    endGrantSpanLocked(split_id);
     return true;
 }
 
@@ -269,14 +260,13 @@ Master::chargeAttemptLocked(uint64_t split_id)
 {
     // Bounded attempts: a split that keeps failing (or blowing its
     // budget) still reaches a terminal state instead of cycling.
-    uint32_t failures = ++attempts_[split_id];
+    uint32_t failures = ++records_[split_id].attempts;
     if (failures < max_split_attempts_) {
         pending_.push_front(split_id);
         metrics_.inc("master.splits_requeued");
         return;
     }
-    failed_.insert(split_id);
-    clearWatermarkLocked(split_id);
+    finishLocked(split_id, SplitRecord::Failed);
     writeCheckpointLocked();
     metrics_.inc("master.splits_failed");
     dsi_warn("split %llu failed after %u attempts; giving up",
@@ -303,25 +293,18 @@ Master::expireDeadlines()
         return 0;
     double now = trace::nowSeconds();
     uint64_t expired = 0;
-    for (auto it = deadline_at_.begin(); it != deadline_at_.end();) {
-        uint64_t split_id = it->first;
-        auto holder = inflight_.find(split_id);
-        if (it->second > now || holder == inflight_.end()) {
+    for (auto it = inflight_.begin(); it != inflight_.end();) {
+        if (it->second.deadline_at > now) {
             ++it;
             continue;
         }
-        it = deadline_at_.erase(it);
-        inflight_.erase(holder);
+        uint64_t split_id = it->first;
         ++expired;
         metrics_.inc("master.deadline_expired");
-        {
-            auto gs = grant_spans_.find(split_id);
-            trace::instant(trace::events::kDeadlineExpired,
-                           gs == grant_spans_.end() ? trace::kNoSpan
-                                                    : gs->second,
-                           split_id);
-        }
-        endGrantSpanLocked(split_id);
+        trace::instant(trace::events::kDeadlineExpired, it->second.span,
+                       split_id);
+        trace::endSpan(it->second.span, trace::spans::kMasterGrant);
+        it = inflight_.erase(it);
         chargeAttemptLocked(split_id);
     }
     return expired;
@@ -340,8 +323,7 @@ Master::completeSplit(WorkerId worker, uint64_t split_id)
     std::scoped_lock lock(mutex_);
     if (!takeGrantLocked(worker, split_id, "master.stale_completions"))
         return;
-    completed_.insert(split_id);
-    clearWatermarkLocked(split_id);
+    finishLocked(split_id, SplitRecord::Completed);
     metrics_.inc("master.splits_completed");
     writeCheckpointLocked();
 }
@@ -358,13 +340,12 @@ void
 Master::failWorker(WorkerId worker)
 {
     std::scoped_lock lock(mutex_);
-    live_workers_.erase(worker);
+    failed_workers_.insert(worker);
     // Stateless Workers: just requeue whatever they were processing.
     for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second == worker) {
+        if (it->second.worker == worker) {
             pending_.push_front(it->first);
-            deadline_at_.erase(it->first);
-            endGrantSpanLocked(it->first);
+            trace::endSpan(it->second.span, trace::spans::kMasterGrant);
             metrics_.inc("master.splits_requeued");
             it = inflight_.erase(it);
         } else {
@@ -372,6 +353,17 @@ Master::failWorker(WorkerId worker)
         }
     }
     metrics_.inc("master.workers_failed");
+}
+
+std::vector<WorkerId>
+Master::holders() const
+{
+    std::scoped_lock lock(mutex_);
+    std::vector<WorkerId> out;
+    out.reserve(inflight_.size());
+    for (const auto &[split_id, g] : inflight_)
+        out.push_back(g.worker);
+    return out;
 }
 
 void
@@ -388,10 +380,10 @@ Master::progress() const
     std::scoped_lock lock(mutex_);
     SessionProgress p;
     p.total_splits = splits_.size();
-    p.completed_splits = completed_.size();
+    p.completed_splits = completed_;
     p.inflight_splits = inflight_.size();
     p.pending_splits = pending_.size();
-    p.failed_splits = failed_.size();
+    p.failed_splits = failed_;
     return p;
 }
 
@@ -408,15 +400,16 @@ Master::checkpointLocked() const
     MasterCheckpoint cp;
     cp.epoch = epoch_;
     cp.next_split_cursor = splits_.size();
-    cp.completed.assign(completed_.begin(), completed_.end());
-    cp.failed.assign(failed_.begin(), failed_.end());
-    for (const auto &[id, count] : attempts_) {
-        if (count > 0)
-            cp.attempts.emplace_back(id, count);
-    }
-    for (const auto &[id, stripe] : resume_watermark_) {
-        if (stripe > 0)
-            cp.delivered_stripes.emplace_back(id, stripe);
+    for (uint64_t id = 0; id < records_.size(); ++id) {
+        const SplitRecord &r = records_[id];
+        if (r.state == SplitRecord::Completed)
+            cp.completed.push_back(id);
+        else if (r.state == SplitRecord::Failed)
+            cp.failed.push_back(id);
+        if (r.attempts > 0)
+            cp.attempts.emplace_back(id, r.attempts);
+        if (r.watermark > 0)
+            cp.delivered_stripes.emplace_back(id, r.watermark);
     }
     return cp;
 }
@@ -469,8 +462,8 @@ Master::writeCheckpointLocked()
     if (ledger_) {
         LedgerCheckpoint cp = ledger_->checkpoint();
         std::erase_if(cp.delivered, [this](const auto &key) {
-            return completed_.count(key.first) ||
-                   failed_.count(key.first);
+            return key.first < records_.size() &&
+                   records_[key.first].state != SplitRecord::Open;
         });
         ledger_bytes = cp.serialize();
     }
@@ -523,25 +516,27 @@ void
 Master::noteStripeDelivered(uint64_t split_id, uint32_t stripe)
 {
     std::scoped_lock lock(mutex_);
-    if (completed_.count(split_id) || failed_.count(split_id))
-        return; // terminal: resume tracking already cleared
-    uint32_t &watermark = resume_watermark_[split_id];
-    if (stripe < watermark)
-        return; // replayed stripe, already inside the prefix
+    if (split_id >= records_.size())
+        return;
+    SplitRecord &r = records_[split_id];
+    if (r.state != SplitRecord::Open || stripe < r.watermark)
+        return; // terminal, or a replayed stripe inside the prefix
     // Batches of one split normally arrive in stripe order (one
     // worker, FIFO queues), but a replay racing the original attempt
     // can interleave; fold strays into the prefix as gaps close.
-    auto &stray = stray_stripes_[split_id];
-    stray.insert(stripe);
-    while (stray.erase(watermark))
-        ++watermark;
+    r.stray.insert(stripe);
+    while (r.stray.erase(r.watermark))
+        ++r.watermark;
 }
 
 void
-Master::clearWatermarkLocked(uint64_t split_id)
+Master::finishLocked(uint64_t split_id, SplitRecord::State state)
 {
-    resume_watermark_.erase(split_id);
-    stray_stripes_.erase(split_id);
+    SplitRecord &r = records_[split_id];
+    r.state = state;
+    r.watermark = 0;
+    r.stray.clear();
+    ++(state == SplitRecord::Completed ? completed_ : failed_);
 }
 
 bool
@@ -612,59 +607,46 @@ Master::restore(const MasterCheckpoint &checkpoint)
     // Validate before mutating so a bad checkpoint leaves the session
     // in its current (still usable) state.
     auto known = [&](uint64_t id) { return id < splits_.size(); };
-    for (uint64_t id : checkpoint.completed) {
-        if (!known(id)) {
-            dsi_warn("checkpoint references unknown split %llu",
-                     static_cast<unsigned long long>(id));
-            metrics_.inc("master.checkpoint_restore_failed");
-            return false;
-        }
+    auto counted = [&](const auto &a) {
+        return known(a.first) && a.second > 0;
+    };
+    auto resumable = [&](const auto &d) {
+        return known(d.first) && d.second <= splits_[d.first].stripe_count;
+    };
+    if (!std::ranges::all_of(checkpoint.completed, known) ||
+        !std::ranges::all_of(checkpoint.failed, known) ||
+        !std::ranges::all_of(checkpoint.attempts, counted) ||
+        !std::ranges::all_of(checkpoint.delivered_stripes, resumable)) {
+        dsi_warn("checkpoint does not match this session's splits");
+        metrics_.inc("master.checkpoint_restore_failed");
+        return false;
     }
-    for (uint64_t id : checkpoint.failed) {
-        if (!known(id)) {
-            metrics_.inc("master.checkpoint_restore_failed");
-            return false;
-        }
-    }
-    for (const auto &[id, count] : checkpoint.attempts) {
-        if (!known(id) || count == 0) {
-            metrics_.inc("master.checkpoint_restore_failed");
-            return false;
-        }
-    }
-    for (const auto &[id, stripe] : checkpoint.delivered_stripes) {
-        if (!known(id) || stripe > splits_[id].stripe_count) {
-            metrics_.inc("master.checkpoint_restore_failed");
-            return false;
-        }
-    }
-    completed_.clear();
-    completed_.insert(checkpoint.completed.begin(),
-                      checkpoint.completed.end());
+    records_.assign(splits_.size(), SplitRecord{});
+    for (uint64_t id : checkpoint.completed)
+        records_[id].state = SplitRecord::Completed;
+    for (uint64_t id : checkpoint.failed)
+        records_[id].state = SplitRecord::Failed;
     // Failed splits and attempt counts survive the restart: a split
     // that burned two of its three attempts before the control plane
     // died gets exactly one more — never a fresh budget (no attempt
     // double-charging in either direction).
-    failed_.clear();
-    failed_.insert(checkpoint.failed.begin(), checkpoint.failed.end());
-    attempts_.clear();
-    attempts_.insert(checkpoint.attempts.begin(),
-                     checkpoint.attempts.end());
-    resume_watermark_.clear();
-    stray_stripes_.clear();
+    for (const auto &[id, count] : checkpoint.attempts)
+        records_[id].attempts = count;
     for (const auto &[id, stripe] : checkpoint.delivered_stripes) {
-        if (!completed_.count(id) && !failed_.count(id))
-            resume_watermark_[id] = stripe;
+        if (records_[id].state == SplitRecord::Open)
+            records_[id].watermark = stripe;
     }
+    for (const auto &[split_id, g] : inflight_)
+        trace::endSpan(g.span, trace::spans::kMasterGrant);
     inflight_.clear();
-    deadline_at_.clear();
-    for (const auto &[split_id, span] : grant_spans_)
-        trace::endSpan(span, trace::spans::kMasterGrant);
-    grant_spans_.clear();
     pending_.clear();
+    completed_ = failed_ = 0;
     for (uint64_t i = 0; i < splits_.size(); ++i) {
-        if (!completed_.count(i) && !failed_.count(i))
+        auto state = records_[i].state;
+        if (state == SplitRecord::Open)
             pending_.push_back(i);
+        completed_ += state == SplitRecord::Completed;
+        failed_ += state == SplitRecord::Failed;
     }
     // The restored Master is a new incarnation of the control plane;
     // workers of the old one are zombies by construction (inflight_

@@ -29,6 +29,7 @@
 #define DSI_DPP_MASTER_H
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -187,7 +188,11 @@ class Master : public WorkSource
         return spec_.serialized_transforms;
     }
 
-    /** Register a Worker (returns its id). */
+    /**
+     * Register a Worker (returns its id). The Master accepts any id
+     * its caller issued — a fleet passes its own worker ids straight
+     * through — and rejects only the ids failWorker() declared dead.
+     */
     WorkerId registerWorker() override;
 
     /**
@@ -272,9 +277,13 @@ class Master : public WorkSource
     /**
      * The health monitor (the worker pool's lease, or a manual
      * injection) declares a Worker dead: its in-flight splits return
-     * to the pending queue for other Workers.
+     * to the pending queue for other Workers, and its later requests
+     * are Rejected.
      */
     void failWorker(WorkerId worker) override;
+
+    /** The worker holding each in-flight split, in split id order. */
+    std::vector<WorkerId> holders() const;
 
     /** Total attempts a split gets before it is marked failed. */
     void setMaxSplitAttempts(uint32_t attempts);
@@ -348,9 +357,26 @@ class Master : public WorkSource
     const Metrics &metrics() const { return metrics_; }
 
   private:
+    /** One in-flight grant of a split. */
+    struct Grant
+    {
+        WorkerId worker = 0;
+        /** trace::nowSeconds() past which the split is reaped. */
+        double deadline_at = std::numeric_limits<double>::infinity();
+        trace::SpanId span = trace::kNoSpan; ///< open master.grant
+    };
+
+    /** What the Master keeps of one split across its grants. */
+    struct SplitRecord
+    {
+        enum State : uint8_t { Open, Completed, Failed };
+        State state = Open; ///< Failed: attempts exhausted
+        uint32_t attempts = 0; ///< failed attempts so far
+        uint32_t watermark = 0; ///< delivered-stripe prefix: resume here
+        std::set<uint32_t> stray; ///< delivered stripes past a gap
+    };
+
     void enumerateSplits(const warehouse::Warehouse &warehouse);
-    /** Close the split's master.grant span, if one is open. */
-    void endGrantSpanLocked(uint64_t split_id);
     /**
      * End `worker`'s grant of `split_id`; false (counting
      * `stale_metric`) when the worker no longer holds it.
@@ -359,26 +385,24 @@ class Master : public WorkSource
                          const char *stale_metric);
     /** Charge a failed attempt: requeue, or fail the split for good. */
     void chargeAttemptLocked(uint64_t split_id);
+    /** Move a split to a terminal state, dropping its resume state. */
+    void finishLocked(uint64_t split_id, SplitRecord::State state);
     MasterCheckpoint checkpointLocked() const;
     /** Append one journal record (master + ledger snapshot). */
     void writeCheckpointLocked();
-    /** Drop resume-tracking state for a split gone terminal. */
-    void clearWatermarkLocked(uint64_t split_id);
 
     mutable std::mutex mutex_; ///< guards split-distribution state
     SessionSpec spec_;
-    std::vector<Split> splits_;
-    std::deque<uint64_t> pending_;              ///< split ids
-    std::map<uint64_t, WorkerId> inflight_;     ///< split -> worker
-    std::set<uint64_t> completed_;
-    std::set<uint64_t> failed_;                 ///< attempts exhausted
-    std::map<uint64_t, uint32_t> attempts_;     ///< split -> failures
-    std::map<uint64_t, double> deadline_at_;    ///< split -> nowSeconds()
-    std::map<uint64_t, trace::SpanId> grant_spans_; ///< open grants
+    std::vector<Split> splits_;        ///< Split::id == index
+    std::vector<SplitRecord> records_; ///< indexed by split id
+    std::deque<uint64_t> pending_;     ///< split ids
+    std::map<uint64_t, Grant> inflight_; ///< split id -> grant
+    uint64_t completed_ = 0; ///< records in Completed
+    uint64_t failed_ = 0;    ///< records in Failed
     AdmissionOptions admission_;
     uint32_t max_split_attempts_ = 3;
     WorkerId next_worker_ = 0;
-    std::set<WorkerId> live_workers_;
+    std::set<WorkerId> failed_workers_;
 
     // Durable checkpointing (all guarded by mutex_; the journal is
     // not thread-safe and is serialized here). Lock order:
@@ -389,10 +413,6 @@ class Master : public WorkSource
     uint64_t epoch_ = 0; ///< incarnation; restore sets prior + 1
     double last_checkpoint_at_ = 0.0;
     uint64_t deliveries_since_checkpoint_ = 0;
-    /** split -> contiguous delivered-stripe prefix (resume point). */
-    std::map<uint64_t, uint32_t> resume_watermark_;
-    /** Out-of-order stripe deliveries not yet folded into the prefix. */
-    std::map<uint64_t, std::set<uint32_t>> stray_stripes_;
 
     Metrics metrics_;
 };

@@ -117,7 +117,9 @@ class WorkSource
     /**
      * The worker pool declares `worker` dead (lease expired or
      * crashed): every split it holds requeues for other workers, and
-     * its later calls are treated as a zombie's.
+     * its later calls are treated as a zombie's — every acquireSplit
+     * is Rejected, under a fleet whichever tenant it would reach, and
+     * its split reports are stale.
      */
     virtual void failWorker(WorkerId worker) = 0;
 

@@ -15,10 +15,10 @@
  *    `lease_timeout` seconds is declared dead;
  *  - crash replacement: a dead or crashed worker is stopped, its splits
  *    are failed back through WorkSource::failWorker (requeued on every
- *    Master it served), and a stateless replacement takes its slot. A
- *    crashed worker still holding splits waits for its lease when
- *    leases are on, so lease expiry stays the detector; with leases
- *    off it is recycled on the next pass;
+ *    Master where it holds splits), and a stateless replacement takes
+ *    its slot. A crashed worker still holding splits waits for its
+ *    lease when leases are on, so lease expiry stays the detector;
+ *    with leases off it is recycled on the next pass;
  *  - retiring drained scale-down victims;
  *  - the auto-scaling window: demand (tensors delivered, supplied by
  *    the owner) and supply (tensors produced, retired workers

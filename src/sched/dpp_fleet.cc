@@ -1,5 +1,6 @@
 #include "dpp_fleet.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/logging.h"
@@ -100,25 +101,20 @@ FleetScheduler::registerWorker()
     return next_worker_++;
 }
 
-WorkerId
-FleetScheduler::masterIdLocked(TenantState &st, WorkerId worker)
-{
-    auto it = st.master_ids.find(worker);
-    if (it != st.master_ids.end())
-        return it->second;
-    // First contact between this worker and this tenant: register it
-    // with the tenant's Master (workers meet tenants lazily — a fleet
-    // worker cannot know its tenants up front).
-    WorkerId mid = st.master->registerWorker();
-    st.master_ids.emplace(worker, mid);
-    return mid;
-}
-
 dpp::SplitGrant
 FleetScheduler::acquireSplit(WorkerId worker,
                              const dpp::WorkerLoad &load)
 {
     std::scoped_lock lock(mutex_);
+    if (failed_workers_.count(worker)) {
+        // A zombie: its splits were requeued on every tenant Master,
+        // and whichever tenant it would reach next must not feed it.
+        metrics_.inc("fleet.stale_requests");
+        trace::instant(trace::events::kRejected, trace::kNoSpan, worker);
+        dpp::SplitGrant g;
+        g.status = dpp::GrantStatus::Rejected;
+        return g;
+    }
     double now = pool_->now();
 
     struct Cand
@@ -195,8 +191,7 @@ FleetScheduler::acquireSplit(WorkerId worker,
         st.span = trace::beginSpan(trace::spans::kFleetTenant,
                                    trace::kNoSpan, st.id);
     trace::ScopedParent tenant_parent(st.span);
-    WorkerId mid = masterIdLocked(st, worker);
-    dpp::SplitGrant g = st.master->acquireSplit(mid, load);
+    dpp::SplitGrant g = st.master->acquireSplit(worker, load);
     if (g.status != dpp::GrantStatus::Granted) {
         // Overloaded (this worker is over the tenant's admission
         // caps) passes through so the worker backs off; anything else
@@ -206,7 +201,6 @@ FleetScheduler::acquireSplit(WorkerId worker,
         return g;
     }
     g.tenant = st.id;
-    grants_[{st.id, g.split->id}] = worker;
     ++st.granted;
     metrics_.inc(tenantMetric(st.id, "granted"));
     if (st.waiting_since >= 0) {
@@ -225,13 +219,7 @@ FleetScheduler::reportSplit(SplitReport report, WorkerId worker,
     if (it == tenants_.end())
         return;
     TenantState &st = *it->second;
-    dpp::WorkSource &master = *st.master;
-    (master.*report)(masterIdLocked(st, worker), tenant, split_id);
-    // A zombie's late report (its split was reaped by a deadline and
-    // re-granted) must not erase the new holder's grant.
-    auto grant = grants_.find({tenant, split_id});
-    if (grant != grants_.end() && grant->second == worker)
-        grants_.erase(grant);
+    (st.master.get()->*report)(worker, tenant, split_id);
     // The tenant's lifetime span closes with its last split.
     if (st.span != trace::kNoSpan && st.master->progress().done()) {
         trace::endSpan(st.span, trace::spans::kFleetTenant);
@@ -266,15 +254,14 @@ void
 FleetScheduler::failWorker(WorkerId worker)
 {
     std::scoped_lock lock(mutex_);
-    // Requeue everything the dead worker held, on every tenant Master
-    // it ever served (failWorker is a no-op where it held nothing).
+    failed_workers_.insert(worker);
+    // Requeue everything the dead worker held, on each tenant Master
+    // where it holds splits.
     for (auto &[id, st] : tenants_) {
-        auto mi = st->master_ids.find(worker);
-        if (mi != st->master_ids.end())
-            st->master->failWorker(mi->second);
+        auto held = st->master->holders();
+        if (std::find(held.begin(), held.end(), worker) != held.end())
+            st->master->failWorker(worker);
     }
-    for (auto it = grants_.begin(); it != grants_.end();)
-        it = it->second == worker ? grants_.erase(it) : std::next(it);
 }
 
 const FleetScheduler::TenantState &
@@ -303,15 +290,6 @@ FleetScheduler::tenantProgram(TenantId tenant) const
 // Housekeeping (the ticking thread only).
 
 bool
-FleetScheduler::workerHoldsGrantsLocked(WorkerId worker) const
-{
-    for (const auto &[key, wid] : grants_)
-        if (wid == worker)
-            return true;
-    return false;
-}
-
-bool
 FleetScheduler::maybePreempt()
 {
     if (!options_.preemption)
@@ -320,13 +298,6 @@ FleetScheduler::maybePreempt()
     TenantId victim_tenant = 0;
     {
         std::scoped_lock lock(mutex_);
-        // Idle capacity present: the starved tenant's reservation will
-        // be honored by a natural grant; preempting would only thrash.
-        for (const auto &w : pool_->workers())
-            if (!w->crashed() && !w->draining() &&
-                !workerHoldsGrantsLocked(w->id()))
-                return false;
-
         // Most important tenant starved below its reservation.
         TenantState *starved = nullptr;
         for (auto &[id, st] : tenants_) {
@@ -343,24 +314,37 @@ FleetScheduler::maybePreempt()
         if (!starved)
             return false;
 
+        // Who holds which tenant's splits, from the tenant Masters.
+        std::vector<std::pair<TenantState *, std::vector<WorkerId>>> held;
+        std::set<WorkerId> busy;
+        for (auto &[id, st] : tenants_) {
+            held.emplace_back(st.get(), st->master->holders());
+            busy.insert(held.back().second.begin(),
+                        held.back().second.end());
+        }
+        // Idle capacity present: the starved tenant's reservation will
+        // be honored by a natural grant; preempting would only thrash.
+        for (const auto &w : pool_->workers())
+            if (!w->crashed() && !w->draining() && !busy.count(w->id()))
+                return false;
+
         // Victim: a live worker holding a strictly-lower-class
         // tenant's split; the lowest class pays first.
         JobClass victim_class = starved->opts.job_class;
-        for (const auto &[key, wid] : grants_) {
-            const TenantState &vt = *tenants_.at(key.first);
-            if (vt.opts.job_class >= starved->opts.job_class)
-                continue;
-            if (victim && vt.opts.job_class >= victim_class)
-                continue;
-            for (const auto &w : pool_->workers()) {
-                if (w->id() != wid)
-                    continue;
-                if (!w->draining() && !w->crashed()) {
-                    victim = w.get();
-                    victim_tenant = key.first;
-                    victim_class = vt.opts.job_class;
+        for (const auto &[vt, workers] : held) {
+            for (WorkerId wid : workers) {
+                if (vt->opts.job_class >= victim_class)
+                    break;
+                for (const auto &w : pool_->workers()) {
+                    if (w->id() != wid)
+                        continue;
+                    if (!w->draining() && !w->crashed()) {
+                        victim = w.get();
+                        victim_tenant = vt->id;
+                        victim_class = vt->opts.job_class;
+                    }
+                    break;
                 }
-                break;
             }
         }
         if (!victim)

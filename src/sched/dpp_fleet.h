@@ -36,16 +36,22 @@
  * replay overlap), and launches a replacement worker whose first polls
  * the quota pass routes to the starved tenant.
  *
+ * **Who holds what.** The tenant Masters are the only record of which
+ * worker holds which split: fleet worker ids pass straight through to
+ * them, and preemption and failWorker() read the holders back
+ * (Master::holders()).
+ *
  * **Fault tolerance.** The pool's heartbeat lease (on the fleet's
  * injectable clock) declares a silent worker holding splits dead, and
  * a crashed worker is recycled; either way the pool calls the fleet's
  * failWorker(), which requeues the worker's splits on every tenant
- * Master it served, and a replacement joins the pool — the
- * replacement is a fresh process, but the requeued splits carry each
- * Master's delivered-stripe watermark, so it re-extracts only
- * undelivered tails. Every tick also reaps blown split deadlines on
- * every tenant Master. Exactly-once delivery is preserved per tenant
- * by each tenant's DeliveryLedger.
+ * Master where it holds some and Rejects its later requests whatever
+ * the tenant (fleet.stale_requests). A replacement joins the pool: a
+ * fresh process, but the requeued splits carry each Master's
+ * delivered-stripe watermark, so it re-extracts only undelivered
+ * tails. Every tick also reaps blown split deadlines on every tenant
+ * Master. Exactly-once delivery is preserved per tenant by each
+ * tenant's DeliveryLedger.
  *
  * **Whole-fleet recovery.** With FleetOptions::recovery attached,
  * every tenant Master journals durable checkpoints (its state + its
@@ -82,6 +88,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -303,8 +310,6 @@ class FleetScheduler : public dpp::WorkSource
         double waiting_since = -1.0;
         /** Lazily-opened fleet.tenant span (a0 = tenant id). */
         trace::SpanId span = trace::kNoSpan;
-        /** Fleet worker id -> this Master's worker id. */
-        std::map<WorkerId, WorkerId> master_ids;
         uint64_t granted = 0;
         uint64_t shed = 0;
         uint64_t preempted = 0;
@@ -312,16 +317,12 @@ class FleetScheduler : public dpp::WorkSource
         uint64_t rows_delivered = 0;
     };
 
-    /** Register `worker` with the tenant's Master on first contact. */
-    WorkerId masterIdLocked(TenantState &st, WorkerId worker);
     const TenantState &tenantLocked(TenantId tenant) const;
     using SplitReport = void (dpp::WorkSource::*)(WorkerId, TenantId,
                                                   uint64_t);
-    /** Route a worker's split report to its tenant's Master and
-     * forget the grant. */
+    /** Route a worker's split report to its tenant's Master. */
     void reportSplit(SplitReport report, WorkerId worker,
                      TenantId tenant, uint64_t split_id);
-    bool workerHoldsGrantsLocked(WorkerId worker) const;
     TenantStats tenantStatsLocked(const TenantState &st) const;
 
     // Housekeeping (driver thread).
@@ -335,9 +336,8 @@ class FleetScheduler : public dpp::WorkSource
     std::map<TenantId, std::unique_ptr<TenantState>> tenants_;
     TenantId next_tenant_ = 0;
     WorkerId next_worker_ = 0;
-    /** (tenant, split) -> holding fleet worker, for victim selection
-     * and failWorker recovery. */
-    std::map<std::pair<TenantId, uint64_t>, WorkerId> grants_;
+    /** Workers failWorker() declared dead: Rejected on every tenant. */
+    std::set<WorkerId> failed_workers_;
     bool closed_ = false;
     uint64_t tensors_delivered_ = 0;
     uint64_t rows_delivered_ = 0;

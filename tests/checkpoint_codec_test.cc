@@ -13,12 +13,19 @@
  *    corrupt bytes, and dropped publishes (via the checkpoint.write.*
  *    fault points) must fall back to the newest valid record — or to
  *    a clean cold start — never to a crash or a mis-parse.
+ *
+ * A scripted Master history (grants, completions, exhausted attempts,
+ * a release, a deadline reap, out-of-order stripes, a worker failure)
+ * is pinned to its checkpoint bytes, with their restore round trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,6 +34,7 @@
 #include "dpp/checkpoint_journal.h"
 #include "dpp/ledger.h"
 #include "dpp/master.h"
+#include "test_fixtures.h"
 
 namespace dsi::dpp {
 namespace {
@@ -211,6 +219,116 @@ TEST(LedgerCheckpointCodec, RestoreSuppressesReplayedKeys)
     EXPECT_FALSE(second.claim(7, 0));   // already reached a trainer
     EXPECT_FALSE(second.claim(7, 256));
     EXPECT_TRUE(second.claim(7, 512));  // the resumed stream
+}
+
+// ---------------------------------------------------------------------
+// Master history -> checkpoint bytes.
+
+/** 8 splits of 4 stripes: 1 partition x 8192 rows, 2048-row files,
+ * 256-row stripes, 1024-row splits. */
+class MasterHistoryTest : public ::testing::Test
+{
+  protected:
+    MasterHistoryTest()
+    {
+        warehouse::SchemaParams p;
+        p.name = "hist";
+        p.float_features = 4;
+        p.sparse_features = 2;
+        p.seed = 5;
+        dwrf::WriterOptions wo;
+        wo.rows_per_stripe = 256;
+        mw_ = std::make_unique<testing::MiniWarehouse>(
+            testing::makeMiniWarehouse(p, 1, 8192, 2048, wo));
+        spec_.table = mw_->name;
+        spec_.partitions = {0};
+        spec_.rows_per_split = 1024;
+    }
+
+    std::unique_ptr<testing::MiniWarehouse> mw_;
+    SessionSpec spec_;
+};
+
+TEST_F(MasterHistoryTest, ScriptedHistoryPinsCheckpointBytes)
+{
+    // The journal's record format is the Master's checkpoint: a
+    // restructuring of the Master's bookkeeping must map the same
+    // history to the same bytes.
+    Master m(*mw_->warehouse, spec_);
+    ASSERT_EQ(m.totalSplits(), 8u);
+    m.setMaxSplitAttempts(2);
+    WorkerId a = m.registerWorker();
+    WorkerId b = m.registerWorker();
+    auto grant = [&m](WorkerId w) {
+        auto g = m.acquireSplit(w, {});
+        EXPECT_EQ(g.status, GrantStatus::Granted);
+        return g.split.has_value() ? g.split->id : UINT64_MAX;
+    };
+
+    // Grant and complete: split 0.
+    ASSERT_EQ(grant(a), 0u);
+    m.noteStripeDelivered(0, 0);
+    m.completeSplit(a, 0);
+
+    // Fail split 1 until its two attempts run out.
+    ASSERT_EQ(grant(a), 1u);
+    m.failSplit(a, 1);
+    ASSERT_EQ(grant(a), 1u);
+    m.failSplit(a, 1);
+
+    // Release split 2 after one delivered stripe (no attempt charged).
+    ASSERT_EQ(grant(a), 2u);
+    m.noteStripeDelivered(2, 0);
+    m.releaseSplit(a, 2);
+
+    // Reap split 2 on its deadline; the late completion is stale.
+    m.setAdmission({.split_deadline_s = 1e-6});
+    ASSERT_EQ(grant(a), 2u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(m.expireDeadlines(), 1u);
+    m.setAdmission({});
+    m.completeSplit(a, 2);
+
+    // Out-of-order stripes leave strays above each watermark.
+    ASSERT_EQ(grant(b), 2u);
+    ASSERT_EQ(grant(b), 3u);
+    m.noteStripeDelivered(3, 2);
+    m.noteStripeDelivered(3, 0);
+    m.noteStripeDelivered(2, 3);
+    m.noteStripeDelivered(2, 1);
+
+    // Fail b with splits 2 and 3 in flight; it is a zombie after.
+    m.failWorker(b);
+    EXPECT_EQ(m.acquireSplit(b, {}).status, GrantStatus::Rejected);
+
+    // Split 3 completes elsewhere; split 4 stays in flight.
+    ASSERT_EQ(grant(a), 3u);
+    m.completeSplit(a, 3);
+    m.noteStripeDelivered(3, 1); // terminal: ignored
+    ASSERT_EQ(grant(a), 2u);
+    ASSERT_EQ(grant(a), 4u);
+    m.noteStripeDelivered(4, 0);
+
+    const dwrf::Buffer pinned = {
+        0x02, 0x00, 0x08,                   // version, epoch, cursor
+        0x02, 0x00, 0x03,                   // completed {0, 3}
+        0x01, 0x01,                         // failed {1}
+        0x02, 0x01, 0x02, 0x02, 0x01,       // attempts 1:2, 2:1
+        0x02, 0x02, 0x02, 0x04, 0x01,       // watermarks 2:2, 4:1
+    };
+    dwrf::Buffer bytes = m.checkpoint().serialize();
+    EXPECT_EQ(bytes, pinned);
+
+    // A fresh Master restored from those bytes writes them back, as
+    // the next incarnation.
+    auto cp = MasterCheckpoint::deserialize(pinned);
+    ASSERT_TRUE(cp.has_value());
+    Master fresh(*mw_->warehouse, spec_);
+    ASSERT_TRUE(fresh.restore(*cp));
+    MasterCheckpoint back = fresh.checkpoint();
+    EXPECT_EQ(back.epoch, 1u);
+    back.epoch = 0;
+    EXPECT_EQ(back.serialize(), pinned);
 }
 
 // ---------------------------------------------------------------------

@@ -6,10 +6,10 @@
  * counts, reserved-quota priority for RC tenants (grant-latency SLO
  * under an explore flood), class-priority preemption with graceful
  * handback, exactly-once delivery per tenant under injected worker
- * crashes and blown split deadlines, per-worker program caches that
- * stay bounded as tenants come and go, tenant-labeled trace lineage,
- * metrics-doc drift, and shared-pool auto-scaling (replayed through a
- * fresh policy).
+ * crashes and blown split deadlines, failed workers rejected on every
+ * tenant, per-worker program caches that stay bounded as tenants come
+ * and go, tenant-labeled trace lineage, metrics-doc drift, and
+ * shared-pool auto-scaling (replayed through a fresh policy).
  */
 
 #include <gtest/gtest.h>
@@ -362,6 +362,44 @@ TEST_F(FleetTest, WorkerCrashPreservesExactlyOncePerTenant)
     EXPECT_GE(merged.counter("pool.worker_replacements"), 1.0);
 }
 
+TEST_F(FleetTest, FailedWorkerStaysRejectedOnEveryTenant)
+{
+    // The WorkSource contract holds under a fleet: once failWorker
+    // declares a worker dead, every request it makes is Rejected,
+    // whichever tenant it would reach — tenants admitted after the
+    // failure included.
+    FleetOptions fo;
+    fo.initial_workers = 1; // never ticked: the test drives by hand
+    FleetScheduler fleet(*mw_.warehouse, fo);
+    TenantId t0 = fleet.addTenant(tenantSpec(mw_, {0}, 1024));
+    WorkerId zombie = fleet.registerWorker();
+    WorkerId live = fleet.registerWorker();
+
+    auto held = fleet.acquireSplit(zombie, {});
+    ASSERT_EQ(held.status, dpp::GrantStatus::Granted);
+    EXPECT_EQ(held.tenant, t0);
+    fleet.failWorker(zombie);
+    EXPECT_EQ(fleet.tenantProgress(t0).inflight_splits, 0u);
+    EXPECT_EQ(fleet.acquireSplit(zombie, {}).status,
+              dpp::GrantStatus::Rejected);
+
+    TenantId t1 = fleet.addTenant(tenantSpec(mw_, {1}, 1024));
+    while (fleet.tenantProgress(t0).pending_splits > 0) {
+        auto g = fleet.acquireSplit(live, {});
+        ASSERT_EQ(g.status, dpp::GrantStatus::Granted);
+        fleet.completeSplit(live, g.tenant, g.split->id);
+    }
+    EXPECT_TRUE(fleet.tenantProgress(t0).done());
+    EXPECT_GT(fleet.tenantProgress(t1).pending_splits, 0u);
+    EXPECT_EQ(fleet.acquireSplit(zombie, {}).status,
+              dpp::GrantStatus::Rejected);
+    // The zombie's late report of its old split is stale, not fatal.
+    fleet.completeSplit(zombie, t0, held.split->id);
+    auto merged = fleet.collectMetrics();
+    EXPECT_EQ(merged.counter("fleet.stale_requests"), 2.0);
+    EXPECT_EQ(merged.counter("master.stale_completions"), 1.0);
+}
+
 TEST_F(FleetTest, TicksReapBlownSplitDeadlinesOnEveryTenant)
 {
     // Admission applies to every tenant Master, deadline reaping
@@ -568,6 +606,11 @@ TEST_F(FleetTest, EveryFleetMetricIsDocumented)
     while (fleet.tick(log.sink())) {
     }
     EXPECT_GE(fleet.tenantStats(e).shed, 1u);
+    // A failed worker's request (fleet.stale_requests).
+    WorkerId zombie = fleet.registerWorker();
+    fleet.failWorker(zombie);
+    EXPECT_EQ(fleet.acquireSplit(zombie, {}).status,
+              dpp::GrantStatus::Rejected);
 
     std::string dump =
         MetricsExporter::prometheusText(fleet.collectMetrics());
